@@ -15,6 +15,7 @@ from .errors import (
     BadInput,
     BadPair,
     BadSubset,
+    CompletenessError,
     LabelCollision,
     LabelMismatch,
     NonFinite,
@@ -45,6 +46,7 @@ from .swap import (
     SwapParams,
     SwapRegimeReport,
     classify_swap,
+    classify_swap_outcomes,
     phase_matched_choice,
     swap_inputs,
     swap_run,
@@ -53,22 +55,29 @@ from .swap import (
     two_outcome_swap_probability,
 )
 from .teleport import (
+    InputBatch,
     OutcomeRecord,
+    ProtocolBranches,
     ProtocolParams,
     RegimeReport,
     RunResult,
     TransferMatrix,
     branch_probability,
+    check_completeness,
     classify,
     correction_unitary,
+    evaluate_inputs,
     expected_repetitions,
+    haar_inputs,
     is_faithful,
     joint_state,
     measured_probabilities,
     one_faithful_choice,
     one_faithful_labels,
+    protocol_branches,
     repetition_counts,
     run,
+    sample_outcomes,
     success_probability_analytic,
     transfer_matrices,
     two_faithful_choice,

@@ -25,6 +25,14 @@ from .errors import TeleportrixError, ParseError
 SEED_ENV = "TELEPORTRIX_SEED"
 _PROBABILISTIC_REGIMES = ("probabilistic2", "probabilistic1")
 
+# Request size limits. Sampling memory is fixed by teleport.SAMPLE_CHUNK,
+# so MAX_SHOTS bounds run time only (10^9 shots take about 25 s on one
+# core of a 2-vCPU x86 VM); the input batch and the sweep report grow
+# with their counts, so those two bound memory.
+MAX_SHOTS = 10**9
+MAX_INPUTS = 10**5
+MAX_GRID_POINTS = 10**5
+
 
 class _Parser(argparse.ArgumentParser):
     # usage errors exit 1, not argparse's default 2
@@ -91,6 +99,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"teleportrix: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"teleportrix: a parameter is too large, numeric overflow: {exc}", file=sys.stderr)
+        return 2
     text = csv_text if args.output == "csv" else json.dumps(report, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -147,15 +158,6 @@ def _fmt(value, digits) -> str:
     return str(value)
 
 
-def _haar_inputs(count: int, rng) -> list:
-    inputs = []
-    for _ in range(count):
-        vec = rng.normal(size=2) + 1j * rng.normal(size=2)
-        vec = vec / np.linalg.norm(vec)
-        inputs.append((complex(vec[0]), complex(vec[1])))
-    return inputs
-
-
 def _analytic_block(n: complex) -> dict:
     reps = teleport.repetition_counts(n)
     by_formula = reps["by_formula"]
@@ -173,12 +175,12 @@ def _cmd_teleport(args):
     params = teleport.ProtocolParams(parse_complex(args.n), parse_complex(args.l), parse_complex(args.p))
     sampled = args.mode == "sampled"
     random_count = args.random_input
-    if random_count is not None and random_count < 1:
-        raise ParseError("--random-input must be >= 1")
+    if random_count is not None and not 1 <= random_count <= MAX_INPUTS:
+        raise ParseError(f"--random-input must be in [1, {MAX_INPUTS}], got {random_count}")
     if random_count is None and (args.alpha is None or args.beta is None):
         raise ParseError("provide --alpha and --beta, or --random-input COUNT")
-    if sampled and args.shots < 1:
-        raise ParseError(f"--shots must be >= 1, got {args.shots}")
+    if sampled and not 1 <= args.shots <= MAX_SHOTS:
+        raise ParseError(f"--shots must be in [1, {MAX_SHOTS}], got {args.shots}")
 
     needs_rng = sampled or random_count is not None
     seed = _resolve_seed(args) if needs_rng else None
@@ -188,25 +190,25 @@ def _cmd_teleport(args):
         inputs = [(finite_complex(args.alpha, "alpha"), finite_complex(args.beta, "beta"))]
         input_desc = {"kind": "fixed", "alpha": args.alpha, "beta": args.beta}
     else:
-        inputs = _haar_inputs(random_count, rng)
+        inputs = teleport.haar_inputs(random_count, rng)
         input_desc = {"kind": "haar", "count": random_count}
 
-    results = [teleport.run(inp, params) for inp in inputs]
-    report0 = results[0].report
+    branches = teleport.protocol_branches(params)
+    batch = teleport.evaluate_inputs(branches, inputs)
     outcome_rows = []
     for idx, label in enumerate(BASIS_LABELS):
-        probs = [r.records[idx].probability for r in results]
-        fids = [r.records[idx].fidelity for r in results if r.records[idx].fidelity is not None]
+        fids = batch.fidelities[:, idx]
+        fids = fids[~np.isnan(fids)]
         outcome_rows.append({
             "label": label,
-            "probability": float(np.mean(probs)),
-            "faithful": results[0].records[idx].faithful,
-            "fidelity": float(np.mean(fids)) if fids else None,
+            "probability": float(np.mean(batch.probabilities[:, idx])),
+            "faithful": branches.faithful[idx],
+            "fidelity": float(np.mean(fids)) if fids.size else None,
         })
 
     empirical = None
     if sampled:
-        empirical = _sample_outcomes(inputs, params, args.shots, rng, report0)
+        empirical = _sample_outcomes(batch.probabilities, args.shots, rng, branches.report)
 
     report = {
         "command": "teleport",
@@ -214,7 +216,7 @@ def _cmd_teleport(args):
         "input": input_desc,
         "mode": args.mode,
         "seed": seed,
-        "regime": report0.regime,
+        "regime": branches.report.regime,
         "outcomes": outcome_rows,
         "analytic": _analytic_block(params.n),
         "empirical": empirical,
@@ -234,20 +236,14 @@ def _cmd_teleport(args):
     return report, _csv(lines)
 
 
-def _sample_outcomes(inputs, params, shots, rng, report):
-    # shot i uses input i mod len(inputs); faithful-branch probability is
-    # input independent, so the faithful frequency estimates the same
-    # number whatever the inputs.
-    cdfs = []
-    for inp in inputs:
-        probs = [r.probability for r in teleport.run(inp, params).records]
-        cdfs.append(np.cumsum(probs))
-    draws = rng.random(shots)
-    counts = {label: 0 for label in BASIS_LABELS}
-    for i in range(shots):
-        cdf = cdfs[i % len(cdfs)]
-        idx = min(int(np.searchsorted(cdf, draws[i], side="right")), 3)
-        counts[BASIS_LABELS[idx]] += 1
+def _sample_outcomes(probabilities, shots, rng, report):
+    # shot i uses input i mod len(probabilities); faithful-branch
+    # probability is input independent, so the faithful frequency
+    # estimates the same number whatever the inputs.
+    totals = np.zeros(len(BASIS_LABELS), dtype=np.int64)
+    for indices in teleport.sample_outcomes(probabilities, shots, rng):
+        totals += np.bincount(indices, minlength=len(BASIS_LABELS))
+    counts = {label: int(c) for label, c in zip(BASIS_LABELS, totals)}
     freqs = {label: counts[label] / shots for label in BASIS_LABELS}
     faithful_freq = sum(freqs[label] for label in report.faithful_outcomes)
     return {
@@ -273,7 +269,7 @@ def _cmd_swap(args):
         parse_complex(args.l_prime), parse_complex(args.p_prime),
     )
     outcomes = swap_mod.swap_run(params)
-    regime = swap_mod.classify_swap(params)
+    regime = swap_mod.classify_swap_outcomes(params, outcomes)
     rows = [{
         "label": o.label,
         "probability": o.probability,
@@ -341,9 +337,14 @@ def _parse_grid(text: str) -> list:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ParseError(f"grid must be numeric, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ParseError(f"grid values must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ParseError(f"grid needs step > 0 and stop >= start, got {text!r}")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
+    span = (stop - start) / step + 0.5
+    if not span < MAX_GRID_POINTS:
+        raise ParseError(f"grid has more than {MAX_GRID_POINTS} points, got {text!r}")
+    count = int(math.floor(span)) + 1
     return [start + i * step for i in range(count)]
 
 

@@ -37,6 +37,10 @@ class BadPair(TeleportrixError):
     """Measured qubit pair is not two distinct labels of the state with a spectator left over."""
 
 
+class CompletenessError(TeleportrixError):
+    """Transfer matrices violate sum_k M_k^dag M_k = I, so branch probabilities would not sum to 1."""
+
+
 class SingularMatrix(TeleportrixError):
     """Matrix is numerically zero, so no polar unitary factor exists."""
 

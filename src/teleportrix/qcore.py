@@ -277,6 +277,16 @@ def fidelity(a: PureState, b: PureState) -> float:
     return min(float(val), 1.0)
 
 
+def rowwise_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot(a[..., :], b[..., :]) for every row, broadcast over leading axes.
+
+    Computed as a stacked (1 x n) @ (n x 1) matmul, which reduces each
+    row the way np.vdot reduces a vector, so a row gives the same bits
+    as the single-vector call.
+    """
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def states_close(a: PureState, b: PureState, tol: float = TOL_EQ) -> bool:
     """Phase-insensitive state equality: fidelity >= 1 - tol."""
     return fidelity(a, b) >= 1.0 - tol

@@ -186,7 +186,11 @@ def classify_swap(params: SwapParams) -> SwapRegimeReport:
     checks n l' = m p* and n p = m l'*. They are reported separately from
     the brute-force count so any disagreement is visible, not hidden.
     """
-    outcomes = swap_run(params)
+    return classify_swap_outcomes(params, swap_run(params))
+
+
+def classify_swap_outcomes(params: SwapParams, outcomes) -> SwapRegimeReport:
+    """classify_swap from outcomes swap_run(params) already returned."""
     reliable = tuple(o.label for o in outcomes if o.reliable)
     success = sum(o.probability for o in outcomes if o.reliable)
     k = len(reliable)

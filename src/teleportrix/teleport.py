@@ -20,6 +20,12 @@ Faithfulness of each branch depends only on |l| or |p| versus |n| and
 Success probabilities reported by classify and run always come from
 the matrices themselves; success_probability_analytic is the closed
 form kept as a cross-check, never as the source of truth.
+
+The input-independent work (matrices, faithfulness, branch
+probabilities) is done once per parameter tuple by protocol_branches;
+evaluate_inputs adds the corrections and applies the matrices to a
+whole (K, 2) batch of inputs at once, and sample_outcomes draws shots
+against the batch. run is the batch of one.
 """
 
 from __future__ import annotations
@@ -32,11 +38,16 @@ import numpy as np
 from . import measure, qcore
 from .complexfmt import finite_complex
 from .ebasis import BASIS_LABELS, BasisParams, general_basis, resource_state
-from .errors import BadInput, NonFinite, SingularMatrix
-from .qcore import PureState, _svd2
+from .errors import BadInput, CompletenessError, NonFinite, SingularMatrix
+from .qcore import PureState, _svd2, rowwise_vdot
 from .tolerances import TOL_EQ, TOL_NORM, TOL_PROB
 
 INFINITE = math.inf
+
+# Shots drawn per rng.random call. Working memory is a few arrays of
+# this length, so it stays small whatever the shot count; the outcomes
+# do not depend on it.
+SAMPLE_CHUNK = 4096
 
 # Parameter choices with two faithful outcomes, indexed 0..3: join the
 # basis parameters to the resource as (l, p) = (n, n*), (n, 1/n),
@@ -105,6 +116,35 @@ class RegimeReport:
 
 
 @dataclass(frozen=True, eq=False)
+class ProtocolBranches:
+    """The input-independent part of a parameter tuple, computed once.
+
+    transfer holds the four TransferMatrix records in canonical label
+    order and faithful is_faithful of each.
+    """
+
+    transfer: tuple
+    faithful: tuple
+    report: RegimeReport
+
+
+@dataclass(frozen=True, eq=False)
+class InputBatch:
+    """Every branch of every input in a batch of K inputs.
+
+    probabilities[i, k] = ||M_k psi_i||^2. bob[i, k] is Bob's corrected,
+    renormalized state and fidelities[i, k] its fidelity with psi_i;
+    below TOL_PROB, bob is zero and the fidelity NaN. corrections holds
+    the four (input-independent) correction unitaries.
+    """
+
+    probabilities: np.ndarray
+    corrections: np.ndarray
+    bob: np.ndarray
+    fidelities: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """Outcome records plus regime report; sampling fields when sampled."""
 
@@ -123,18 +163,39 @@ def transfer_matrices(params: ProtocolParams) -> tuple:
     is what makes the four branch probabilities sum to 1.
     """
     n, l, p = params.n, params.ell, params.p
-    nw = 1.0 / math.sqrt(1.0 + abs(n) ** 2)
-    lw = 1.0 / math.sqrt(1.0 + abs(l) ** 2)
-    pw = 1.0 / math.sqrt(1.0 + abs(p) ** 2)
+    nw, lw, pw = _weight(n, "n"), _weight(l, "ell"), _weight(p, "p")
     mats = (
         TransferMatrix("PhiPlus", nw * lw * np.array([[1, 0], [0, n * l.conjugate()]], dtype=complex)),
         TransferMatrix("PhiMinus", nw * lw * np.array([[l, 0], [0, -n]], dtype=complex)),
         TransferMatrix("PsiPlus", nw * pw * np.array([[0, p.conjugate()], [n, 0]], dtype=complex)),
         TransferMatrix("PsiMinus", nw * pw * np.array([[0, -1], [n * p, 0]], dtype=complex)),
     )
-    total = sum(tm.matrix.conj().T @ tm.matrix for tm in mats)
-    assert np.max(np.abs(total - np.eye(2))) < TOL_NORM, "completeness violated"
+    check_completeness(tm.matrix for tm in mats)
     return mats
+
+
+def _too_large(name: str, z: complex) -> NonFinite:
+    return NonFinite(f"{name} = {z!r} is too large: a power of |{name}| overflows a float")
+
+
+def _weight(z: complex, name: str) -> float:
+    """Normalization 1/sqrt(1 + |z|^2); NonFinite where |z|^2 overflows."""
+    try:
+        return 1.0 / math.sqrt(1.0 + abs(z) ** 2)
+    except OverflowError:
+        raise _too_large(name, z) from None
+
+
+def check_completeness(matrices) -> None:
+    """Raise CompletenessError unless sum_k M_k^dag M_k = I within TOL_NORM.
+
+    Accepts any iterable of 2x2 matrices, including a (4, 2, 2) stack.
+    A non-finite entry fails the check rather than passing it.
+    """
+    total = sum(m.conj().T @ m for m in matrices)
+    deviation = np.max(np.abs(total - np.eye(2)))
+    if not deviation < TOL_NORM:
+        raise CompletenessError(f"completeness violated: sum M^dag M deviates from I by {deviation!r}")
 
 
 def is_faithful(tm: TransferMatrix) -> bool:
@@ -168,12 +229,18 @@ def correction_unitary(tm: TransferMatrix) -> np.ndarray:
     return v @ u.conj().T
 
 
-def classify(params: ProtocolParams) -> RegimeReport:
-    """Count faithful outcomes and total their state-independent probability."""
+def protocol_branches(params: ProtocolParams) -> ProtocolBranches:
+    """Matrices, faithfulness and regime report of a parameter tuple.
+
+    One transfer_matrices call and one is_faithful call per branch; the
+    correction unitaries are left to evaluate_inputs, since classify
+    does not need them.
+    """
     mats = transfer_matrices(params)
-    faithful = tuple(tm.label for tm in mats if is_faithful(tm))
-    success = sum(branch_probability(tm) for tm in mats if is_faithful(tm))
-    k = len(faithful)
+    faithful = tuple(is_faithful(tm) for tm in mats)
+    labels = tuple(tm.label for tm, f in zip(mats, faithful) if f)
+    success = sum(branch_probability(tm) for tm, f in zip(mats, faithful) if f)
+    k = len(labels)
     if k == 4:
         regime = "Deterministic"
     elif k == 0:
@@ -181,7 +248,12 @@ def classify(params: ProtocolParams) -> RegimeReport:
     else:
         regime = f"Probabilistic(k={k})"
     repetitions = 1.0 / success if success > 0.0 else INFINITE
-    return RegimeReport(regime, faithful, float(success), repetitions)
+    return ProtocolBranches(mats, faithful, RegimeReport(regime, labels, float(success), repetitions))
+
+
+def classify(params: ProtocolParams) -> RegimeReport:
+    """Count faithful outcomes and total their state-independent probability."""
+    return protocol_branches(params).report
 
 
 def success_probability_analytic(n, k: int = 2) -> float:
@@ -189,8 +261,11 @@ def success_probability_analytic(n, k: int = 2) -> float:
     if k not in (1, 2):
         raise BadInput(f"k must be 1 or 2, got {k!r}")
     n = finite_complex(n, "n")
-    mod2 = abs(n) ** 2
-    return k * mod2 / (1.0 + mod2) ** 2
+    try:
+        mod2 = abs(n) ** 2
+        return k * mod2 / (1.0 + mod2) ** 2
+    except OverflowError:
+        raise _too_large("n", n) from None
 
 
 def expected_repetitions(n) -> float:
@@ -201,10 +276,13 @@ def expected_repetitions(n) -> float:
     numbers so reports can show them side by side.
     """
     n = finite_complex(n, "n")
-    mod2 = abs(n) ** 2
-    if mod2 == 0.0:
-        return INFINITE
-    return (1.0 + mod2) ** 2 / mod2
+    try:
+        mod2 = abs(n) ** 2
+        if mod2 == 0.0:
+            return INFINITE
+        return (1.0 + mod2) ** 2 / mod2
+    except OverflowError:
+        raise _too_large("n", n) from None
 
 
 def repetition_counts(n) -> dict:
@@ -264,15 +342,97 @@ def joint_state(input_amps, n) -> PureState:
     return qcore.tensor(input_state, resource_state(n))
 
 
-def _validated_input(input_amps) -> np.ndarray:
+def _parsed_input(input_amps) -> tuple:
     try:
-        alpha, beta = (finite_complex(a, "input amplitude") for a in input_amps)
+        return tuple(finite_complex(a, "input amplitude") for a in input_amps)
     except NonFinite as exc:
         raise BadInput(str(exc)) from None
-    psi = np.array([alpha, beta], dtype=complex)
-    if abs(float(np.vdot(psi, psi).real) - 1.0) > TOL_EQ:
+
+
+def _input_array(inputs) -> np.ndarray:
+    """(K, 2) complex array of finite, normalized (alpha, beta) rows."""
+    try:
+        psi = np.asarray(inputs, dtype=complex)
+    except (TypeError, ValueError):
+        raise BadInput("inputs must be (alpha, beta) pairs of complex numbers") from None
+    if psi.ndim != 2 or psi.shape[0] == 0 or psi.shape[1] != 2:
+        raise BadInput(f"inputs must be a nonempty sequence of (alpha, beta) pairs, got shape {psi.shape}")
+    if not np.all(np.isfinite(psi)):
+        raise BadInput("input amplitudes must be finite")
+    if np.any(np.abs(rowwise_vdot(psi, psi).real - 1.0) > TOL_EQ):
         raise BadInput("input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
     return psi
+
+
+def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats (..., 2, 2) times vecs (..., 2), broadcast over the leading axes.
+
+    Written out as m[:, 0] v0 + m[:, 1] v1, the same two products and one
+    sum per entry as a single 2x2 matmul, so it gives the same values.
+    """
+    return mats[..., 0] * vecs[..., None, 0] + mats[..., 1] * vecs[..., None, 1]
+
+
+def _correction_or_identity(tm: TransferMatrix) -> np.ndarray:
+    try:
+        return correction_unitary(tm)
+    except SingularMatrix:
+        return np.eye(2, dtype=complex)
+
+
+def evaluate_inputs(branches: ProtocolBranches, inputs) -> InputBatch:
+    """Probabilities, corrected states and fidelities of a batch of inputs.
+
+    inputs is a (K, 2) array or a sequence of K (alpha, beta) pairs, each
+    finite and normalized. Branch k of input i conditions Bob's qubit on
+    M_k psi_i; the correction of a singular branch is the identity.
+    """
+    psi = _input_array(inputs)
+    matrices = np.stack([tm.matrix for tm in branches.transfer])
+    corrections = np.stack([_correction_or_identity(tm) for tm in branches.transfer])
+    conditioned = _apply(matrices, psi[:, None, :])
+    probs = rowwise_vdot(conditioned, conditioned).real
+    kept = probs >= TOL_PROB
+    bob = _apply(corrections, conditioned) / np.sqrt(np.where(kept, probs, 1.0))[..., None]
+    bob[~kept] = 0.0
+    overlap = rowwise_vdot(bob, psi[:, None, :])
+    # |overlap|^2 as qcore.fidelity takes it for one state: hypot, then a
+    # float power per entry. numpy's vectorised abs and square can differ
+    # from that in the last bit.
+    moduli = np.hypot(overlap.real, overlap.imag).ravel().tolist()
+    fids = np.minimum(np.array([m ** 2 for m in moduli]).reshape(probs.shape), 1.0)
+    fids[~kept] = np.nan
+    return InputBatch(probs, corrections, bob, fids)
+
+
+def haar_inputs(count: int, rng) -> np.ndarray:
+    """count Haar-random inputs as a (count, 2) array.
+
+    Each row takes four normal draws, two real parts then two imaginary
+    parts, and is scaled to unit norm.
+    """
+    g = rng.normal(size=(count, 2, 2))
+    re, im = g[:, 0], g[:, 1]
+    vec = re + 1j * im
+    return vec / np.sqrt(rowwise_vdot(re, re) + rowwise_vdot(im, im))[:, None]
+
+
+def sample_outcomes(probabilities: np.ndarray, shots: int, rng):
+    """Outcome indices of `shots` draws, yielded in chunks of SAMPLE_CHUNK.
+
+    probabilities is a (K, 4) array; shot i uses row i mod K. Each draw u
+    is inverted through that row's CDF: the index is the number of its
+    first three cumulative sums that are <= u, i.e. searchsorted(cdf, u,
+    side="right") capped at 3. Drawing rng.random in chunks consumes the
+    generator exactly as one call for all shots would, so the outcomes
+    do not depend on the chunk size.
+    """
+    cdf = np.cumsum(probabilities, axis=1)
+    c0, c1, c2 = (np.ascontiguousarray(cdf[:, j]) for j in range(3))
+    for start in range(0, shots, SAMPLE_CHUNK):
+        draws = rng.random(min(SAMPLE_CHUNK, shots - start))
+        row = np.arange(start, start + len(draws)) % len(cdf)
+        yield (c0[row] <= draws).astype(np.intp) + (c1[row] <= draws) + (c2[row] <= draws)
 
 
 def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int | None = None) -> RunResult:
@@ -284,38 +444,30 @@ def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int 
     result additionally carries empirical frequencies and the shot
     labels (exhaustive records are still included).
     """
-    psi = _validated_input(input_amps)
-    mats = transfer_matrices(params)
+    branches = protocol_branches(params)
+    batch = evaluate_inputs(branches, [_parsed_input(input_amps)])
     records = []
-    for tm in mats:
-        conditioned = tm.matrix @ psi
-        prob = float(np.vdot(conditioned, conditioned).real)
-        faithful = is_faithful(tm)
-        try:
-            correction = correction_unitary(tm)
-        except SingularMatrix:
-            correction = np.eye(2, dtype=complex)
+    for k, tm in enumerate(branches.transfer):
+        prob = float(batch.probabilities[0, k])
+        correction = batch.corrections[k]
         if prob < TOL_PROB:
-            records.append(OutcomeRecord(tm.label, prob, faithful, correction, None, None))
+            records.append(OutcomeRecord(tm.label, prob, branches.faithful[k], correction, None, None))
             continue
-        bob = PureState(("2",), correction @ conditioned / math.sqrt(prob))
-        fid = qcore.fidelity(bob, PureState(("2",), psi))
-        records.append(OutcomeRecord(tm.label, prob, faithful, correction, bob, fid))
-    report = classify(params)
+        bob = PureState(("2",), batch.bob[0, k])
+        fid = float(batch.fidelities[0, k])
+        records.append(OutcomeRecord(tm.label, prob, branches.faithful[k], correction, bob, fid))
+    report = branches.report
     if shots is None:
         return RunResult(tuple(records), report)
     if shots < 1:
         raise BadInput(f"shots must be >= 1, got {shots!r}")
     if seed is None:
         seed = 0
-    cdf = np.cumsum([r.probability for r in records])
-    draws = np.random.default_rng(seed).random(shots)
-    indices = np.minimum(np.searchsorted(cdf, draws, side="right"), 3)
+    rng = np.random.default_rng(seed)
+    indices = np.concatenate(list(sample_outcomes(batch.probabilities, shots, rng)))
     labels = tuple(BASIS_LABELS[i] for i in indices)
-    counts = {label: 0 for label in BASIS_LABELS}
-    for label in labels:
-        counts[label] += 1
-    freqs = {label: counts[label] / shots for label in BASIS_LABELS}
+    counts = np.bincount(indices, minlength=4)
+    freqs = {label: int(counts[k]) / shots for k, label in enumerate(BASIS_LABELS)}
     return RunResult(tuple(records), report, shots, seed, freqs, labels)
 
 
