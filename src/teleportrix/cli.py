@@ -112,6 +112,7 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args):
+    """(JSON report, CSV text) of a command; sweep leaves the unrequested one None."""
     if not 6 <= args.precision <= 17:
         raise ParseError(f"precision must be in [6, 17], got {args.precision}")
     if args.command == "teleport":
@@ -348,47 +349,40 @@ def _parse_grid(text: str) -> list:
     return [start + i * step for i in range(count)]
 
 
+_SWEEP_COLUMNS = ("n", "success_probability", "repetitions", "inverse_success")
+
+
 def _cmd_sweep(args):
     grid = _parse_grid(args.n_grid)
-    rows = []
-    for n in grid:
-        # Success is the brute-force probability of the outcomes the
-        # chosen scheme designates, so a maximally entangled grid point
-        # still reports the scheme's own 0.5 even though every outcome
-        # is faithful there.
-        if args.regime == "probabilistic2":
-            params = teleport.two_faithful_choice(complex(n), 0)
-            designated = teleport.two_faithful_labels(0)
-        else:
-            params = teleport.one_faithful_choice(complex(n), 1)
-            designated = (teleport.one_faithful_labels(1),)
-        succ = sum(
-            teleport.branch_probability(tm)
-            for tm in teleport.transfer_matrices(params)
-            if tm.label in designated
-        )
-        rows.append({
-            "n": n,
-            "success_probability": succ,
-            "repetitions": teleport.expected_repetitions(complex(n)),
-            "inverse_success": 1.0 / succ if succ > 0.0 else math.inf,
-        })
+    # Success is the brute-force probability of the outcomes the chosen
+    # scheme designates, so a maximally entangled grid point still
+    # reports the scheme's own 0.5 even though every outcome is faithful
+    # there. The whole grid is one branch_stack.
+    if args.regime == "probabilistic2":
+        stack = teleport.two_faithful_stack(grid, 0)
+        designated = teleport.two_faithful_labels(0)
+    else:
+        stack = teleport.one_faithful_stack(grid, 1)
+        designated = (teleport.one_faithful_labels(1),)
+    success = stack.success(designated).tolist()
+    rows = zip(
+        grid,
+        success,
+        [teleport.expected_repetitions(n) for n in grid],
+        [1.0 / succ if succ > 0.0 else math.inf for succ in success],
+    )
+    digits = args.precision
+    if args.output == "csv":
+        lines = [",".join(_SWEEP_COLUMNS)]
+        lines.extend(",".join([_fmt(v, digits) for v in row]) for row in rows)
+        return None, _csv(lines)
     report = {
         "command": "sweep",
         "params": {"n_grid": args.n_grid, "regime": args.regime},
         "seed": None,
-        "rows": rows,
+        "rows": [dict(zip(_SWEEP_COLUMNS, [_rounded(v, digits) for v in row])) for row in rows],
     }
-    report = _rounded(report, args.precision)
-    lines = ["n,success_probability,repetitions,inverse_success"]
-    for row in rows:
-        lines.append(",".join([
-            _fmt(float(row["n"]), args.precision),
-            _fmt(row["success_probability"], args.precision),
-            _fmt(row["repetitions"], args.precision),
-            _fmt(row["inverse_success"], args.precision),
-        ]))
-    return report, _csv(lines)
+    return report, None
 
 
 if __name__ == "__main__":

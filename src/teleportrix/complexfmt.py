@@ -3,12 +3,19 @@
 Accepted forms: "a", "bi", "a+bi", "a-bi" with decimal reals (an optional
 exponent is tolerated), plus a bare "i" meaning "1i". This is the only
 format the CLI emits, so reports round-trip through parse_complex.
+
+The checks every complex parameter passes live here too: finiteness,
+and the squared modulus |z|^2 that the normalizations and closed forms
+are built from, which raises NonFinite where a power of |z| overflows.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import re
+
+import numpy as np
 
 from .errors import NonFinite, ParseError
 
@@ -68,3 +75,44 @@ def finite_complex(value, name: str = "parameter") -> complex:
     if not cmath.isfinite(z):
         raise NonFinite(f"{name} must be finite, got {z!r}")
     return z
+
+
+def _too_large(name: str, z: complex) -> NonFinite:
+    return NonFinite(f"{name} = {z!r} is too large: a power of |{name}| overflows a float")
+
+
+def squared_modulus(z: complex, name: str, power: int = 1) -> float:
+    """|z|^2 as abs (hypot) then a float power.
+
+    Raises NonFinite naming the parameter where |z|^2, or the
+    (1 + |z|^2)^power a caller goes on to form, overflows a float.
+    """
+    try:
+        mod2 = abs(z) ** 2
+        (1.0 + mod2) ** power
+    except OverflowError:
+        raise _too_large(name, z) from None
+    return mod2
+
+
+def squared_moduli(rows: np.ndarray, names) -> np.ndarray:
+    """squared_modulus of every entry of an (R, G) complex array, same bits.
+
+    Row r holds values of the parameter names[r], which an overflow
+    error names. np.hypot is the hypot that abs(complex) calls; the
+    power is taken per entry as a Python float, because x * x (numpy's
+    square) differs from it in the last bit for a few x in 10^4.
+    """
+    moduli = np.hypot(rows.real, rows.imag)
+    try:
+        return np.array([m ** 2 for m in moduli.ravel().tolist()]).reshape(rows.shape)
+    except OverflowError:
+        for name, row in zip(names, rows.tolist()):
+            for z in row:
+                squared_modulus(z, name)
+        raise
+
+
+def weight(z: complex, name: str) -> float:
+    """Normalization 1/sqrt(1 + |z|^2) of a family or resource vector."""
+    return 1.0 / math.sqrt(1.0 + squared_modulus(z, name))

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexfmt import finite_complex
+from .complexfmt import finite_complex, squared_modulus, weight
 from .errors import ParseError
 from .qcore import PureState
 
@@ -65,16 +65,12 @@ class EntangledBasis:
         return self.vectors[label]
 
 
-def _weight(c: complex) -> float:
-    return 1.0 / math.sqrt(1.0 + abs(c) ** 2)
-
-
 def general_basis(params: BasisParams, labels: Sequence = ("0", "1")) -> EntangledBasis:
     """Construct the basis for given (l, p) on a named qubit pair."""
     if not isinstance(params, BasisParams):
         params = BasisParams(*params)
     l, p = params.ell, params.p
-    lw, pw = _weight(l), _weight(p)
+    lw, pw = weight(l, "ell"), weight(p, "p")
     labels_t = tuple(labels)
     vectors = {
         "PhiPlus": PureState(labels_t, np.array([lw, 0, 0, lw * l])),
@@ -88,7 +84,7 @@ def general_basis(params: BasisParams, labels: Sequence = ("0", "1")) -> Entangl
 def resource_state(n, labels: Sequence = ("1", "2")) -> PureState:
     """Shared resource N (|00> + n |11>) with N = 1/sqrt(1 + |n|^2)."""
     n = finite_complex(n, "n")
-    w = _weight(n)
+    w = weight(n, "n")
     return PureState(tuple(labels), np.array([w, 0, 0, w * n]))
 
 
@@ -100,8 +96,9 @@ def basis_entropy(c) -> float:
     one-qubit reduction of the vector.
     """
     c = finite_complex(c, "c")
-    w0 = 1.0 / (1.0 + abs(c) ** 2)
-    w1 = w0 * abs(c) ** 2
+    mod2 = squared_modulus(c, "c")
+    w0 = 1.0 / (1.0 + mod2)
+    w1 = w0 * mod2
     h = 0.0
     for w in (w0, w1):
         if w > 0.0:
@@ -123,4 +120,4 @@ def expand_computational(bits: str, params: BasisParams) -> tuple:
     except KeyError:
         raise ParseError(f"computational label must be 00/01/10/11, got {bits!r}") from None
     c = params.ell if which == "ell" else params.p
-    return rule(c, _weight(c))
+    return rule(c, weight(c, which))

@@ -22,13 +22,12 @@ closed-form probabilities can be checked against it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measure, qcore
-from .complexfmt import finite_complex
+from .complexfmt import finite_complex, squared_modulus, weight
 from .ebasis import BASIS_LABELS, BasisParams, general_basis
 from .errors import NonFinite
 from .qcore import PureState
@@ -83,8 +82,7 @@ def swap_inputs(m, n) -> PureState:
     """Four-qubit start state on (a, b, 1, 2)."""
     m = finite_complex(m, "m")
     n = finite_complex(n, "n")
-    mw = 1.0 / math.sqrt(1.0 + abs(m) ** 2)
-    nw = 1.0 / math.sqrt(1.0 + abs(n) ** 2)
+    mw, nw = weight(m, "m"), weight(n, "n")
     first = PureState(("a", "b"), np.array([mw, 0, 0, mw * m]))
     second = PureState(("1", "2"), np.array([0, nw, nw * n, 0]))
     return qcore.tensor(first, second)
@@ -125,7 +123,7 @@ def two_outcome_swap_probability(m, n) -> float:
     """
     m = finite_complex(m, "m")
     n = finite_complex(n, "n")
-    m2, n2 = abs(m) ** 2, abs(n) ** 2
+    m2, n2 = squared_modulus(m, "m", power=2), squared_modulus(n, "n", power=2)
     m4 = 1.0 / (1.0 + m2) ** 2
     n4 = 1.0 / (1.0 + n2) ** 2
     return m4 * n4 * (n2 * (1.0 + m2) ** 2 + m2 * (1.0 + n2) ** 2)
@@ -139,7 +137,7 @@ def three_outcome_swap_probability(n) -> float:
     brute force.
     """
     n = finite_complex(n, "n")
-    n2 = abs(n) ** 2
+    n2 = squared_modulus(n, "n", power=4)
     n8 = 1.0 / (1.0 + n2) ** 4
     return 3.0 * n2 * n8 * (1.0 + n2) ** 2
 

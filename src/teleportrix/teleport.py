@@ -16,13 +16,18 @@ faithful outcome the probability ||M psi||^2 = c is the same for every
 input, which is what makes the success probability state independent.
 Faithfulness of each branch depends only on |l| or |p| versus |n| and
 1/|n|; each faithful branch occurs with probability |n|^2/(1+|n|^2)^2.
+The test is relative (M^dag M / c against I), so it holds at any scale
+of c; only c == 0 is unfaithful for its size.
 
 Success probabilities reported by classify and run always come from
 the matrices themselves; success_probability_analytic is the closed
 form kept as a cross-check, never as the source of truth.
 
-The input-independent work (matrices, faithfulness, branch
-probabilities) is done once per parameter tuple by protocol_branches;
+The input-independent work (matrices, completeness, Grams,
+faithfulness, branch probabilities) is done by branch_stack for a whole
+array of G parameter tuples at once; transfer_matrices and
+protocol_branches are its batch of one, and sweeps over the resource
+parameter go through two_faithful_stack / one_faithful_stack.
 evaluate_inputs adds the corrections and applies the matrices to a
 whole (K, 2) batch of inputs at once, and sample_outcomes draws shots
 against the batch. run is the batch of one.
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure, qcore
-from .complexfmt import finite_complex
+from .complexfmt import finite_complex, squared_moduli, squared_modulus
 from .ebasis import BASIS_LABELS, BasisParams, general_basis, resource_state
 from .errors import BadInput, CompletenessError, NonFinite, SingularMatrix
 from .qcore import PureState, _svd2, rowwise_vdot
@@ -57,6 +62,16 @@ _TWO_FAITHFUL = (
     (lambda n: (n, 1 / n), ("PhiMinus", "PsiMinus")),
     (lambda n: (1 / n.conjugate(), 1 / n), ("PhiPlus", "PsiMinus")),
     (lambda n: (1 / n.conjugate(), n.conjugate()), ("PhiPlus", "PsiPlus")),
+)
+
+# Choices with one faithful outcome, indexed 0..3: (l, p) from n and a
+# generic value g that leaves the other pair unfaithful. Index 0 and 3
+# divide by n. The rules take Python complex numbers or numpy arrays.
+_ONE_FAITHFUL = (
+    (lambda n, g: (1 / n.conjugate(), g), "PhiPlus"),
+    (lambda n, g: (n, g), "PhiMinus"),
+    (lambda n, g: (g, n.conjugate()), "PsiPlus"),
+    (lambda n, g: (g, 1 / n), "PsiMinus"),
 )
 
 
@@ -91,10 +106,10 @@ class OutcomeRecord:
     """One measurement branch of a protocol run.
 
     bob_state is the conditioned state after the correction unitary; it
-    is None when the branch probability falls below TOL_PROB (then
-    fidelity is None as well). faithful is a property of the transfer
-    matrix, not of the particular input, so fidelity can be 1 for a
-    lucky input even on an unfaithful branch.
+    is None when the branch probability falls below TOL_PROB, or is 0
+    on a faithful branch (then fidelity is None as well). faithful is a
+    property of the transfer matrix, not of the particular input, so
+    fidelity can be 1 for a lucky input even on an unfaithful branch.
     """
 
     label: str
@@ -116,6 +131,25 @@ class RegimeReport:
 
 
 @dataclass(frozen=True, eq=False)
+class BranchStack:
+    """Transfer matrices of G parameter tuples with their Gram analysis.
+
+    matrices[g, k] is M_k of tuple g, in canonical label order.
+    probabilities[g, k] = tr(M_k^dag M_k) / 2, the input-independent
+    probability of branch k when faithful[g, k] holds.
+    """
+
+    matrices: np.ndarray
+    probabilities: np.ndarray
+    faithful: np.ndarray
+
+    def success(self, labels) -> np.ndarray:
+        """Summed branch probability of the named outcomes, per tuple."""
+        columns = [BASIS_LABELS.index(label) for label in labels]
+        return self.probabilities[:, columns].sum(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
 class ProtocolBranches:
     """The input-independent part of a parameter tuple, computed once.
 
@@ -134,8 +168,10 @@ class InputBatch:
 
     probabilities[i, k] = ||M_k psi_i||^2. bob[i, k] is Bob's corrected,
     renormalized state and fidelities[i, k] its fidelity with psi_i;
-    below TOL_PROB, bob is zero and the fidelity NaN. corrections holds
-    the four (input-independent) correction unitaries.
+    below TOL_PROB, bob is zero and the fidelity NaN. A faithful branch
+    is kept down to probability 0 exclusive, since its state is exact at
+    any scale. corrections holds the four (input-independent)
+    correction unitaries.
     """
 
     probabilities: np.ndarray
@@ -156,61 +192,129 @@ class RunResult:
     shot_labels: tuple | None = None
 
 
+def branch_stack(n, ell, p) -> BranchStack:
+    """The four transfer matrices of G parameter tuples, checked and analysed at once.
+
+    n, ell and p are (G,) arrays of finite complex numbers. The matrices
+    satisfy the completeness relation sum_k M_k^dag M_k = I, which is
+    what makes the four branch probabilities sum to 1; it is checked for
+    every tuple. Every entry is formed with the float operations of the
+    scalar expressions in the module docstring, so a tuple gives the
+    same bits whatever G.
+    """
+    try:
+        params = np.array([n, ell, p], dtype=complex)
+    except ValueError:
+        raise BadInput("n, ell and p must be arrays of one shape") from None
+    if params.ndim != 2 or params.shape[1] == 0:
+        raise BadInput(f"n, ell and p must be nonempty (G,) arrays, got shape {params.shape[1:]}")
+    if not np.isfinite(params).all():
+        raise NonFinite("protocol parameters must be finite")
+    mats = _matrix_stack(params)
+    grams = _grams(mats)
+    _check_gram_total(grams)
+    probabilities, faithful = _gram_analysis(grams)
+    return BranchStack(mats, probabilities, faithful)
+
+
+# Flat positions, in the (4, 2, 2) stack of one tuple, of the eight
+# entries that are not identically zero, in the row order of
+# _matrix_stack: the PhiPlus/PhiMinus rows, then the PsiMinus/PsiPlus rows.
+_NONZERO = [0, 3, 4, 7, 13, 14, 9, 10]
+_EYE = np.eye(2)
+
+
+def _matrix_stack(params: np.ndarray) -> np.ndarray:
+    """(G, 4, 2, 2) matrices of a (3, G) array of n, l and p.
+
+    Each entry gets the bits of the scalar construction: the products
+    n l* and n p through the real and imaginary parts exactly as
+    Python's complex multiply forms them (numpy's may fuse a product
+    into the sum), then a real weight times a complex entry, which
+    stays two single products whatever the ufunc does with the zero
+    imaginary part of the weight.
+    """
+    nw, lw, pw = 1.0 / np.sqrt(1.0 + squared_moduli(params, ("n", "ell", "p")))
+    (nr, lr, pr), (ni, li, pi) = params.real, params.imag
+    entries = np.zeros((8, params.shape[1]), dtype=complex)
+    re, im = entries.real, entries.imag
+    re[0] = 1.0
+    re[1] = nr * lr - ni * -li
+    im[1] = nr * -li + ni * lr
+    entries[2] = params[1]
+    entries[3] = -params[0]
+    re[4] = -1.0
+    re[5] = nr * pr - ni * pi
+    im[5] = nr * pi + ni * pr
+    entries[6] = params[2].conj()
+    entries[7] = params[0]
+    entries[:4] *= nw * lw
+    entries[4:] *= nw * pw
+    mats = np.zeros((params.shape[1], 16), dtype=complex)
+    mats[:, _NONZERO] = entries.T
+    return mats.reshape(-1, 4, 2, 2)
+
+
+def _grams(mats: np.ndarray) -> np.ndarray:
+    """M^dag M of every 2x2 matrix of a (..., 2, 2) stack."""
+    return np.matmul(mats.conj().swapaxes(-1, -2), mats)
+
+
+def _check_gram_total(grams: np.ndarray) -> None:
+    deviation = np.abs(grams.sum(axis=-3) - _EYE).max()
+    if not deviation < TOL_NORM:
+        raise CompletenessError(
+            f"completeness violated: sum M^dag M deviates from I by {float(deviation)!r}")
+
+
+def _gram_analysis(grams: np.ndarray) -> tuple:
+    """Half traces c = tr(G)/2 and faithfulness of a (..., 2, 2) Gram stack.
+
+    Faithful means G / c = I to a relative TOL_EQ with c > 0. Dividing
+    by c first makes the test independent of the scale of M, so a
+    faithful branch of probability 1e-200 is still faithful; c == 0
+    (and NaN) is not.
+    """
+    c = (grams[..., 0, 0].real + grams[..., 1, 1].real) / 2.0
+    positive = c > 0.0
+    scaled = grams / np.where(positive, c, 1.0)[..., None, None]
+    scaled -= _EYE
+    deviation = np.abs(scaled).max(axis=(-2, -1))
+    return c, positive & (deviation <= TOL_EQ)
+
+
+def _transfer_records(matrices) -> tuple:
+    return tuple(TransferMatrix(label, m) for label, m in zip(BASIS_LABELS, matrices))
+
+
 def transfer_matrices(params: ProtocolParams) -> tuple:
     """The four transfer matrices, in canonical outcome-label order.
 
-    They satisfy the completeness relation sum_k M_k^dag M_k = I, which
-    is what makes the four branch probabilities sum to 1.
+    The batch of one of branch_stack, completeness check included.
     """
-    n, l, p = params.n, params.ell, params.p
-    nw, lw, pw = _weight(n, "n"), _weight(l, "ell"), _weight(p, "p")
-    mats = (
-        TransferMatrix("PhiPlus", nw * lw * np.array([[1, 0], [0, n * l.conjugate()]], dtype=complex)),
-        TransferMatrix("PhiMinus", nw * lw * np.array([[l, 0], [0, -n]], dtype=complex)),
-        TransferMatrix("PsiPlus", nw * pw * np.array([[0, p.conjugate()], [n, 0]], dtype=complex)),
-        TransferMatrix("PsiMinus", nw * pw * np.array([[0, -1], [n * p, 0]], dtype=complex)),
-    )
-    check_completeness(tm.matrix for tm in mats)
-    return mats
-
-
-def _too_large(name: str, z: complex) -> NonFinite:
-    return NonFinite(f"{name} = {z!r} is too large: a power of |{name}| overflows a float")
-
-
-def _weight(z: complex, name: str) -> float:
-    """Normalization 1/sqrt(1 + |z|^2); NonFinite where |z|^2 overflows."""
-    try:
-        return 1.0 / math.sqrt(1.0 + abs(z) ** 2)
-    except OverflowError:
-        raise _too_large(name, z) from None
+    return _transfer_records(branch_stack([params.n], [params.ell], [params.p]).matrices[0])
 
 
 def check_completeness(matrices) -> None:
     """Raise CompletenessError unless sum_k M_k^dag M_k = I within TOL_NORM.
 
-    Accepts any iterable of 2x2 matrices, including a (4, 2, 2) stack.
-    A non-finite entry fails the check rather than passing it.
+    Accepts any iterable of 2x2 matrices, a (K, 2, 2) stack, or a
+    (G, K, 2, 2) stack checked group by group. A non-finite entry fails
+    the check rather than passing it.
     """
-    total = sum(m.conj().T @ m for m in matrices)
-    deviation = np.max(np.abs(total - np.eye(2)))
-    if not deviation < TOL_NORM:
-        raise CompletenessError(f"completeness violated: sum M^dag M deviates from I by {deviation!r}")
+    if not isinstance(matrices, np.ndarray):
+        matrices = np.stack(list(matrices))
+    _check_gram_total(_grams(matrices))
 
 
 def is_faithful(tm: TransferMatrix) -> bool:
-    """True iff M^dag M = c I for some c > 1e-12 (relative tolerance 1e-9)."""
-    gram = tm.matrix.conj().T @ tm.matrix
-    c = float(gram[0, 0].real + gram[1, 1].real) / 2.0
-    if c <= 1e-12:
-        return False
-    return bool(np.max(np.abs(gram - c * np.eye(2))) <= TOL_EQ * c)
+    """True iff M^dag M = c I for some c > 0 (relative tolerance TOL_EQ)."""
+    return bool(_gram_analysis(_grams(tm.matrix))[1])
 
 
 def branch_probability(tm: TransferMatrix) -> float:
     """Input-independent probability of a faithful branch (tr M^dag M / 2)."""
-    gram = tm.matrix.conj().T @ tm.matrix
-    return float(gram[0, 0].real + gram[1, 1].real) / 2.0
+    return float(_gram_analysis(_grams(tm.matrix))[0])
 
 
 def correction_unitary(tm: TransferMatrix) -> np.ndarray:
@@ -223,23 +327,26 @@ def correction_unitary(tm: TransferMatrix) -> np.ndarray:
     branches; it is input independent and gives a principled fidelity
     number there too.
     """
-    u, sv, v = _svd2(tm.matrix)
-    if sv[0] < 1e-12:
+    scale = float(np.max(np.abs(tm.matrix)))
+    if not scale > 0.0:
         raise SingularMatrix("transfer matrix is numerically zero")
+    # _svd2 has absolute floors near 1e-12. The polar factor of M is
+    # that of M / scale, so a tiny M is rescaled first; from an entry of
+    # 1e-12 up, the largest singular value clears the floors as it is.
+    u, _, v = _svd2(tm.matrix if scale >= 1e-12 else tm.matrix / scale)
     return v @ u.conj().T
 
 
 def protocol_branches(params: ProtocolParams) -> ProtocolBranches:
     """Matrices, faithfulness and regime report of a parameter tuple.
 
-    One transfer_matrices call and one is_faithful call per branch; the
-    correction unitaries are left to evaluate_inputs, since classify
-    does not need them.
+    The batch of one of branch_stack; the correction unitaries are left
+    to evaluate_inputs, since classify does not need them.
     """
-    mats = transfer_matrices(params)
-    faithful = tuple(is_faithful(tm) for tm in mats)
-    labels = tuple(tm.label for tm, f in zip(mats, faithful) if f)
-    success = sum(branch_probability(tm) for tm, f in zip(mats, faithful) if f)
+    stack = branch_stack([params.n], [params.ell], [params.p])
+    faithful = tuple(stack.faithful[0].tolist())
+    labels = tuple(label for label, f in zip(BASIS_LABELS, faithful) if f)
+    success = sum(prob for prob, f in zip(stack.probabilities[0].tolist(), faithful) if f)
     k = len(labels)
     if k == 4:
         regime = "Deterministic"
@@ -248,7 +355,8 @@ def protocol_branches(params: ProtocolParams) -> ProtocolBranches:
     else:
         regime = f"Probabilistic(k={k})"
     repetitions = 1.0 / success if success > 0.0 else INFINITE
-    return ProtocolBranches(mats, faithful, RegimeReport(regime, labels, float(success), repetitions))
+    report = RegimeReport(regime, labels, float(success), repetitions)
+    return ProtocolBranches(_transfer_records(stack.matrices[0]), faithful, report)
 
 
 def classify(params: ProtocolParams) -> RegimeReport:
@@ -260,12 +368,8 @@ def success_probability_analytic(n, k: int = 2) -> float:
     """Closed form k |n|^2 / (1 + |n|^2)^2 for k faithful outcomes (k = 1 or 2)."""
     if k not in (1, 2):
         raise BadInput(f"k must be 1 or 2, got {k!r}")
-    n = finite_complex(n, "n")
-    try:
-        mod2 = abs(n) ** 2
-        return k * mod2 / (1.0 + mod2) ** 2
-    except OverflowError:
-        raise _too_large("n", n) from None
+    mod2 = squared_modulus(finite_complex(n, "n"), "n", power=2)
+    return k * mod2 / (1.0 + mod2) ** 2
 
 
 def expected_repetitions(n) -> float:
@@ -275,14 +379,10 @@ def expected_repetitions(n) -> float:
     two-outcome success probability is 2; repetition_counts carries both
     numbers so reports can show them side by side.
     """
-    n = finite_complex(n, "n")
-    try:
-        mod2 = abs(n) ** 2
-        if mod2 == 0.0:
-            return INFINITE
-        return (1.0 + mod2) ** 2 / mod2
-    except OverflowError:
-        raise _too_large("n", n) from None
+    mod2 = squared_modulus(finite_complex(n, "n"), "n", power=2)
+    if mod2 == 0.0:
+        return INFINITE
+    return (1.0 + mod2) ** 2 / mod2
 
 
 def repetition_counts(n) -> dict:
@@ -304,9 +404,31 @@ def two_faithful_choice(n, index: int) -> ProtocolParams:
     return ProtocolParams(n, l, p)
 
 
+def two_faithful_stack(n, index: int) -> BranchStack:
+    """branch_stack of two_faithful_choice(n[g], index) for a (G,) array n.
+
+    For real n this gives the bits of the per-point route. Choices 1-3
+    divide by n, and numpy's complex division can differ from Python's
+    in the last bit when n is not real.
+    """
+    n = np.asarray(n, dtype=complex)
+    make, _ = _TWO_FAITHFUL[index]
+    if index != 0 and not np.all(n):
+        raise NonFinite("choice needs a nonzero resource parameter")
+    return branch_stack(n, *make(n))
+
+
 def two_faithful_labels(index: int) -> tuple:
     """The outcome pair that choice `index` makes faithful."""
     return _TWO_FAITHFUL[index][1]
+
+
+def _one_faithful_rule(index: int, has_zero: bool):
+    if index not in range(4):
+        raise BadInput(f"index must be 0..3, got {index!r}")
+    if index in (0, 3) and has_zero:
+        raise NonFinite("choice needs a nonzero resource parameter")
+    return _ONE_FAITHFUL[index][0]
 
 
 def one_faithful_choice(n, index: int) -> ProtocolParams:
@@ -316,23 +438,26 @@ def one_faithful_choice(n, index: int) -> ProtocolParams:
     moduli that would make its branch pair faithful.
     """
     n = finite_complex(n, "n")
+    rule = _one_faithful_rule(index, n == 0)
     generic = complex(max(abs(n), 1.0 / abs(n) if n != 0 else 0.0) + 1.0)
-    if index in (0, 3) and n == 0:
-        raise NonFinite("choice needs a nonzero resource parameter")
-    if index == 0:
-        return ProtocolParams(n, 1 / n.conjugate(), generic)
-    if index == 1:
-        return ProtocolParams(n, n, generic)
-    if index == 2:
-        return ProtocolParams(n, generic, n.conjugate())
-    if index == 3:
-        return ProtocolParams(n, generic, 1 / n)
-    raise BadInput(f"index must be 0..3, got {index!r}")
+    return ProtocolParams(n, *rule(n, generic))
+
+
+def one_faithful_stack(n, index: int) -> BranchStack:
+    """branch_stack of one_faithful_choice(n[g], index) for a (G,) array n.
+
+    Bits as for two_faithful_stack: the per-point ones for real n.
+    """
+    n = np.asarray(n, dtype=complex)
+    rule = _one_faithful_rule(index, not np.all(n))
+    modulus = np.hypot(n.real, n.imag)
+    inverse = np.divide(1.0, modulus, out=np.zeros_like(modulus), where=modulus != 0.0)
+    return branch_stack(n, *rule(n, np.maximum(modulus, inverse) + 1.0))
 
 
 def one_faithful_labels(index: int) -> str:
     """The single outcome that one_faithful_choice(index) makes faithful."""
-    return ("PhiPlus", "PhiMinus", "PsiPlus", "PsiMinus")[index]
+    return _ONE_FAITHFUL[index][1]
 
 
 def joint_state(input_amps, n) -> PureState:
@@ -392,7 +517,7 @@ def evaluate_inputs(branches: ProtocolBranches, inputs) -> InputBatch:
     corrections = np.stack([_correction_or_identity(tm) for tm in branches.transfer])
     conditioned = _apply(matrices, psi[:, None, :])
     probs = rowwise_vdot(conditioned, conditioned).real
-    kept = probs >= TOL_PROB
+    kept = (probs >= TOL_PROB) | (np.array(branches.faithful) & (probs > 0.0))
     bob = _apply(corrections, conditioned) / np.sqrt(np.where(kept, probs, 1.0))[..., None]
     bob[~kept] = 0.0
     overlap = rowwise_vdot(bob, psi[:, None, :])
@@ -450,11 +575,11 @@ def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int 
     for k, tm in enumerate(branches.transfer):
         prob = float(batch.probabilities[0, k])
         correction = batch.corrections[k]
-        if prob < TOL_PROB:
+        fid = float(batch.fidelities[0, k])
+        if math.isnan(fid):
             records.append(OutcomeRecord(tm.label, prob, branches.faithful[k], correction, None, None))
             continue
         bob = PureState(("2",), batch.bob[0, k])
-        fid = float(batch.fidelities[0, k])
         records.append(OutcomeRecord(tm.label, prob, branches.faithful[k], correction, bob, fid))
     report = branches.report
     if shots is None:

@@ -55,3 +55,12 @@ def test_rejected_with_exit_2_and_one_line(name):
 
 def test_largest_grid_is_accepted():
     assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+
+
+def test_sweep_overflow_names_the_parameter():
+    proc = _run_cli(["sweep", "--n-grid", "1e200:1e200:1"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("teleportrix: n = ")
+    assert "is too large" in proc.stderr
+    assert proc.stderr.count("\n") == 1

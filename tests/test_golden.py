@@ -3,7 +3,9 @@
 The digests are sha256 of the stdout the per-input implementation (one
 teleport.run per input, one searchsorted per shot) printed for each
 argv. The batched kernel must reproduce those bytes: same seeds, same
-counts, same rounded numbers, also at 17 digits.
+counts, same rounded numbers, also at 17 digits. The sweep digests were
+printed by the per-point sweep (one transfer_matrices call per grid
+point); the stacked sweep must reproduce those bytes too.
 """
 
 import hashlib
@@ -67,6 +69,106 @@ def test_cli_stdout_matches_golden_digest(capsys, monkeypatch, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_GRID = ["--n-grid", "0.05:3.05:0.0125"]
+SWEEP_GOLDEN = [
+    # both schemes, both formats, default and full precision
+    (["sweep", *_GRID, "--regime", "probabilistic2", "--output", "json", "--precision", "12"],
+     "27655d6a7fa1d7d5791c492057ca76a3eb1d0495556a37a9e1da0c7e0b5f3416"),
+    (["sweep", *_GRID, "--regime", "probabilistic2", "--output", "json", "--precision", "17"],
+     "88056dca65b6e57458e40db1fa65d8a392cd8543e0f9b8cc46a2bdd5b38131bc"),
+    (["sweep", *_GRID, "--regime", "probabilistic2", "--output", "csv", "--precision", "12"],
+     "806059961cf8fade652982dbe335199fc88024a2916b8cf791cc51abd7a4f2ef"),
+    (["sweep", *_GRID, "--regime", "probabilistic2", "--output", "csv", "--precision", "17"],
+     "2d7e5f3e1fc738ea23e677d3c00c7a6244008b3d86fb80adcaef49467ec648c2"),
+    (["sweep", *_GRID, "--regime", "probabilistic1", "--output", "json", "--precision", "12"],
+     "f1a4cbc7d5a9055f0e443c3186515d0ea665a701a87f833186351e020d8054b4"),
+    (["sweep", *_GRID, "--regime", "probabilistic1", "--output", "json", "--precision", "17"],
+     "36d21b0492cdc645af0bfb182f9e6e858c134c1c7609bd880f59fddd2c1d0957"),
+    (["sweep", *_GRID, "--regime", "probabilistic1", "--output", "csv", "--precision", "12"],
+     "16047d6a0f32681abb71a2f6aae299c65092c631c6b569119b2c8e73fc26d306"),
+    (["sweep", *_GRID, "--regime", "probabilistic1", "--output", "csv", "--precision", "17"],
+     "6e1a51fb00a42ac9a0603ee2d1f6d526fc9a95023035f6db76229e4eb529fceb"),
+    # row 0 at n = 0: zero success, Infinite repetitions and inverse
+    (["sweep", "--n-grid", "0:2:0.1", "--regime", "probabilistic2", "--output", "csv"],
+     "627aa25b40f2a94d1a989a09ef8f1354abfde7974d4822172fd5344523ab92eb"),
+    (["sweep", "--n-grid", "0:2:0.1", "--regime", "probabilistic1", "--output", "csv"],
+     "573dcc6b22fd083b1edcada287f7112c931219a03c8bcadde12bde1a2e11db90"),
+    # negative n, through 0
+    (["sweep", "--n-grid=-1:1:0.01", "--regime", "probabilistic2", "--precision", "17"],
+     "dc0aed8f663ecdf6258cd837bd662a89b254b301c26413e42ddcb90a221e96dc"),
+    (["sweep", "--n-grid=-1:1:0.01", "--regime", "probabilistic1", "--precision", "17"],
+     "a72e2b63dc0d4ca4f76bbb3192f3d0ecb664ef21fbb7dae2b17fe254428eec83"),
+    # about 10^4 points
+    (["sweep", "--n-grid", "0.001:10:0.001", "--regime", "probabilistic2", "--output", "csv",
+      "--precision", "17"],
+     "07a405885afdcadc300f49f2c066d671e84f3b44c58236239c8879f24290219a"),
+    (["sweep", "--n-grid", "0.13:2.2:0.00021", "--regime", "probabilistic1", "--precision", "17"],
+     "73b86a7aaaac93bf8172c761579b7c01596a07f5e5f05c42e7670aeedb99bba7"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", SWEEP_GOLDEN, ids=[f"sweep-{i}" for i in range(len(SWEEP_GOLDEN))])
+def test_sweep_stdout_matches_golden_digest(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _reference_success(n, scheme):
+    # the per-point arithmetic of the sweep loop the stack replaced
+    if scheme == 2:
+        params, designated = teleport.two_faithful_choice(n, 0), teleport.two_faithful_labels(0)
+    else:
+        params, designated = teleport.one_faithful_choice(n, 1), (teleport.one_faithful_labels(1),)
+    ell, p = params.ell, params.p
+    nw, lw, pw = (1.0 / math.sqrt(1.0 + abs(z) ** 2) for z in (n, ell, p))
+    mats = {
+        "PhiPlus": nw * lw * np.array([[1, 0], [0, n * ell.conjugate()]], dtype=complex),
+        "PhiMinus": nw * lw * np.array([[ell, 0], [0, -n]], dtype=complex),
+        "PsiPlus": nw * pw * np.array([[0, p.conjugate()], [n, 0]], dtype=complex),
+        "PsiMinus": nw * pw * np.array([[0, -1], [n * p, 0]], dtype=complex),
+    }
+    total = 0
+    for label in designated:
+        gram = mats[label].conj().T @ mats[label]
+        total += float(gram[0, 0].real + gram[1, 1].real) / 2.0
+    via_api = sum(teleport.branch_probability(tm) for tm in teleport.transfer_matrices(params)
+                  if tm.label in designated)
+    assert via_api == total
+    return total
+
+
+@pytest.mark.parametrize("scheme", [2, 1])
+def test_stacked_sweep_equals_per_point_loop_bit_for_bit(scheme):
+    rng = np.random.default_rng(34)
+    grid = np.concatenate([np.linspace(-3, 3, 601), rng.uniform(0.05, 0.5, 200),
+                           10.0 ** rng.uniform(-7, 7, 200) * rng.choice([-1, 1], 200)])
+    if scheme == 2:
+        stack, designated = teleport.two_faithful_stack(grid, 0), teleport.two_faithful_labels(0)
+    else:
+        stack, designated = teleport.one_faithful_stack(grid, 1), (teleport.one_faithful_labels(1),)
+    success = stack.success(designated)
+    for n, got in zip(grid.tolist(), success.tolist()):
+        assert got == _reference_success(complex(n), scheme)
+
+
+def test_stacked_matrices_equal_scalar_construction_bit_for_bit():
+    # complex parameters over ten decades, signs of zero included
+    rng = np.random.default_rng(35)
+    n, ell, p = (rng.normal(size=(3, 300)) + 1j * rng.normal(size=(3, 300))) * 10.0 ** rng.uniform(-5, 5, (3, 300))
+    stack = teleport.branch_stack(n, ell, p)
+    for g in range(300):
+        nw, lw, pw = (1.0 / math.sqrt(1.0 + abs(complex(z)) ** 2) for z in (n[g], ell[g], p[g]))
+        a, b, c = complex(n[g]), complex(ell[g]), complex(p[g])
+        expected = np.stack([
+            nw * lw * np.array([[1, 0], [0, a * b.conjugate()]], dtype=complex),
+            nw * lw * np.array([[b, 0], [0, -a]], dtype=complex),
+            nw * pw * np.array([[0, c.conjugate()], [a, 0]], dtype=complex),
+            nw * pw * np.array([[0, -1], [a * c, 0]], dtype=complex),
+        ])
+        assert np.array_equal(stack.matrices[g].view(np.int64), expected.view(np.int64))
 
 
 def _random_params(rng, case):
