@@ -18,9 +18,9 @@ import numpy as np
 
 from . import swap as swap_mod
 from . import teleport
-from .complexfmt import finite_complex, format_complex, parse_complex
+from .complexfmt import finite_complex, format_complex, parse_complex, squared_moduli, squared_modulus
 from .ebasis import BASIS_LABELS
-from .errors import TeleportrixError, ParseError
+from .errors import ParseError, TeleportrixError
 
 SEED_ENV = "TELEPORTRIX_SEED"
 _PROBABILISTIC_REGIMES = ("probabilistic2", "probabilistic1")
@@ -86,33 +86,45 @@ def _add_common(sp):
     sp.add_argument("--precision", type=int, default=12, help="decimal digits, 6..17")
 
 
+_PARSER = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use; parse_args leaves it unchanged."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        report, csv_text = _dispatch(args)
-    except TeleportrixError as exc:
-        print(f"teleportrix: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+        text = _dispatch(args)
+    except (TeleportrixError, ValueError, ZeroDivisionError) as exc:
         print(f"teleportrix: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
         print(f"teleportrix: a parameter is too large, numeric overflow: {exc}", file=sys.stderr)
         return 2
-    text = csv_text if args.output == "csv" else json.dumps(report, indent=2) + "\n"
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"teleportrix: cannot write the report to {args.out!r}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 
-def _dispatch(args):
-    """(JSON report, CSV text) of a command; sweep leaves the unrequested one None."""
+def _dispatch(args) -> str:
+    """The report of a command, in the requested output format."""
     if not 6 <= args.precision <= 17:
         raise ParseError(f"precision must be in [6, 17], got {args.precision}")
     if args.command == "teleport":
@@ -128,7 +140,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"{SEED_ENV} must be an integer, got {env!r}") from None
 
 
 def _rounded(value, digits):
@@ -148,6 +165,7 @@ def _csv(lines) -> str:
 
 
 def _fmt(value, digits) -> str:
+    """One CSV cell; a list is one cell of ';'-joined items."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -156,7 +174,24 @@ def _fmt(value, digits) -> str:
         if math.isinf(value):
             return "Infinite"
         return str(round(value, digits))
+    if isinstance(value, list):
+        return ";".join(value)
     return str(value)
+
+
+def _emit(args, report: dict, table: list) -> str:
+    """A small report as indented JSON, or its table as CSV.
+
+    table holds the CSV rows, each a tuple of (column name, value) pairs
+    in column order; the header is the names of the first row. The
+    commands build the JSON rows of the report from the same tuples.
+    """
+    digits = args.precision
+    if args.output == "json":
+        return json.dumps(_rounded(report, digits), indent=2) + "\n"
+    lines = [",".join([name for name, _ in table[0]])]
+    lines.extend(",".join([_fmt(value, digits) for _, value in row]) for row in table)
+    return _csv(lines)
 
 
 def _analytic_block(n: complex) -> dict:
@@ -196,20 +231,21 @@ def _cmd_teleport(args):
 
     branches = teleport.protocol_branches(params)
     batch = teleport.evaluate_inputs(branches, inputs)
-    outcome_rows = []
+    outcomes = []
     for idx, label in enumerate(BASIS_LABELS):
         fids = batch.fidelities[:, idx]
         fids = fids[~np.isnan(fids)]
-        outcome_rows.append({
-            "label": label,
-            "probability": float(np.mean(batch.probabilities[:, idx])),
-            "faithful": branches.faithful[idx],
-            "fidelity": float(np.mean(fids)) if fids.size else None,
-        })
+        outcomes.append((
+            ("label", label),
+            ("probability", float(np.mean(batch.probabilities[:, idx]))),
+            ("faithful", branches.faithful[idx]),
+            ("fidelity", float(np.mean(fids)) if fids.size else None),
+        ))
 
     empirical = None
     if sampled:
         empirical = _sample_outcomes(batch.probabilities, args.shots, rng, branches.report)
+    frequencies = empirical["frequencies"] if empirical else {}
 
     report = {
         "command": "teleport",
@@ -218,23 +254,13 @@ def _cmd_teleport(args):
         "mode": args.mode,
         "seed": seed,
         "regime": branches.report.regime,
-        "outcomes": outcome_rows,
+        "outcomes": [dict(row) for row in outcomes],
         "analytic": _analytic_block(params.n),
         "empirical": empirical,
     }
-    report = _rounded(report, args.precision)
-
-    lines = ["label,probability,faithful,fidelity,empirical_frequency"]
-    for row in outcome_rows:
-        freq = empirical["frequencies"][row["label"]] if empirical else None
-        lines.append(",".join([
-            row["label"],
-            _fmt(row["probability"], args.precision),
-            _fmt(row["faithful"], args.precision),
-            _fmt(row["fidelity"], args.precision),
-            _fmt(freq, args.precision),
-        ]))
-    return report, _csv(lines)
+    table = [row + (("empirical_frequency", frequencies.get(label)),)
+             for row, label in zip(outcomes, BASIS_LABELS)]
+    return _emit(args, report, table)
 
 
 def _sample_outcomes(probabilities, shots, rng, report):
@@ -271,19 +297,19 @@ def _cmd_swap(args):
     )
     outcomes = swap_mod.swap_run(params)
     regime = swap_mod.classify_swap_outcomes(params, outcomes)
-    rows = [{
-        "label": o.label,
-        "probability": o.probability,
-        "reliable": o.reliable,
-        "entropy": o.b2_entropy,
-        "target": o.target,
-    } for o in outcomes]
+    table = [(
+        ("label", o.label),
+        ("probability", o.probability),
+        ("reliable", o.reliable),
+        ("entropy", o.b2_entropy),
+        ("target", o.target),
+    ) for o in outcomes]
     report = {
         "command": "swap",
         "params": _param_block(args, ("m", "n", "l", "p", "l-prime", "p-prime")),
         "seed": None,
         "regime": regime.regime,
-        "outcomes": rows,
+        "outcomes": [dict(row) for row in table],
         "analytic": {
             "success_probability": regime.success_probability,
             "two_outcome_probability": swap_mod.two_outcome_swap_probability(params.m, params.n),
@@ -293,41 +319,26 @@ def _cmd_swap(args):
         },
         "empirical": None,
     }
-    report = _rounded(report, args.precision)
-    lines = ["label,probability,reliable,entropy,target"]
-    for row in rows:
-        lines.append(",".join([
-            row["label"],
-            _fmt(row["probability"], args.precision),
-            _fmt(row["reliable"], args.precision),
-            _fmt(row["entropy"], args.precision),
-            row["target"] or "",
-        ]))
-    return report, _csv(lines)
+    return _emit(args, report, table)
 
 
 def _cmd_classify(args):
     params = teleport.ProtocolParams(parse_complex(args.n), parse_complex(args.l), parse_complex(args.p))
     regime = teleport.classify(params)
+    row = (
+        ("regime", regime.regime),
+        ("faithful_outcomes", list(regime.faithful_outcomes)),
+        ("success_probability", regime.success_probability),
+        ("expected_repetitions", regime.expected_repetitions),
+    )
     report = {
         "command": "classify",
         "params": _param_block(args, ("n", "l", "p")),
         "seed": None,
-        "regime": regime.regime,
-        "faithful_outcomes": list(regime.faithful_outcomes),
-        "success_probability": regime.success_probability,
-        "expected_repetitions": regime.expected_repetitions,
+        **dict(row),
         "analytic": _analytic_block(params.n),
     }
-    report = _rounded(report, args.precision)
-    lines = ["regime,faithful_outcomes,success_probability,expected_repetitions"]
-    lines.append(",".join([
-        regime.regime,
-        ";".join(regime.faithful_outcomes),
-        _fmt(regime.success_probability, args.precision),
-        _fmt(regime.expected_repetitions, args.precision),
-    ]))
-    return report, _csv(lines)
+    return _emit(args, report, [row])
 
 
 def _parse_grid(text: str) -> list:
@@ -350,6 +361,8 @@ def _parse_grid(text: str) -> list:
 
 
 _SWEEP_COLUMNS = ("n", "success_probability", "repetitions", "inverse_success")
+# One element of the sweep's "rows" list as json.dumps(report, indent=2) lays it out.
+_SWEEP_ROW = "    {{\n" + ",\n".join(f"      {json.dumps(name)}: {{}}" for name in _SWEEP_COLUMNS) + "\n    }}"
 
 
 def _cmd_sweep(args):
@@ -365,24 +378,37 @@ def _cmd_sweep(args):
         stack = teleport.one_faithful_stack(grid, 1)
         designated = (teleport.one_faithful_labels(1),)
     success = stack.success(designated).tolist()
-    rows = zip(
-        grid,
-        success,
-        [teleport.expected_repetitions(n) for n in grid],
-        [1.0 / succ if succ > 0.0 else math.inf for succ in success],
-    )
+    columns = (grid, success, _repetitions(grid), [1.0 / s if s > 0.0 else math.inf for s in success])
+    # Every value is a float, so a cell is the text json.dumps and _fmt
+    # give a rounded float: its repr, or "Infinite" for inf.
     digits = args.precision
     if args.output == "csv":
-        lines = [",".join(_SWEEP_COLUMNS)]
-        lines.extend(",".join([_fmt(v, digits) for v in row]) for row in rows)
-        return None, _csv(lines)
-    report = {
+        cells = [_float_cells(column, digits, "Infinite") for column in columns]
+        return _csv([",".join(_SWEEP_COLUMNS), *map(",".join, zip(*cells))])
+    cells = [_float_cells(column, digits, '"Infinite"') for column in columns]
+    head = json.dumps({
         "command": "sweep",
         "params": {"n_grid": args.n_grid, "regime": args.regime},
         "seed": None,
-        "rows": [dict(zip(_SWEEP_COLUMNS, [_rounded(v, digits) for v in row])) for row in rows],
-    }
-    return report, None
+    }, indent=2)
+    # the grid is never empty, so "rows" always opens a list of objects
+    rows = ",\n".join(map(_SWEEP_ROW.format, *cells))
+    return f'{head[:-2]},\n  "rows": [\n{rows}\n  ]\n}}\n'
+
+
+def _float_cells(values, digits, infinite) -> list:
+    return [infinite if math.isinf(v) else repr(round(v, digits)) for v in values]
+
+
+def _repetitions(grid) -> list:
+    """teleport.expected_repetitions of every grid point, same bits."""
+    mod2 = squared_moduli(np.array([grid], dtype=complex), ("n",))[0].tolist()
+    try:
+        return [(1.0 + m) ** 2 / m if m else math.inf for m in mod2]
+    except OverflowError:
+        for n in grid:
+            squared_modulus(complex(n), "n", power=2)
+        raise
 
 
 if __name__ == "__main__":

@@ -1,0 +1,234 @@
+"""The CLI front end: one parser per process, the sweep emitter against the
+generic JSON/CSV route it replaced, and clean exits for an unwritable
+--out path and a malformed TELEPORTRIX_SEED.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from teleportrix import cli, teleport
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CLASSIFY = ["classify", "--n", "0.5", "--l", "0.5", "--p", "3"]
+SAMPLED = ["teleport", "--n", "0.5", "--l", "0.5", "--p", "2", "--random-input", "3",
+           "--mode", "sampled", "--shots", "500"]
+GOOD = [
+    CLASSIFY,
+    CLASSIFY + ["--output", "csv"],
+    SAMPLED + ["--seed", "7"],
+    ["swap", "--m", "0.5", "--n", "1.6", "--l", "0.625", "--p", "2",
+     "--l-prime", "0.625", "--p-prime", "0.5", "--output", "csv"],
+    ["sweep", "--n-grid=-0.5:0.5:0.25", "--precision", "17"],
+]
+REJECTED = [
+    [],
+    ["nope"],
+    ["classify", "--n", "1"],
+    CLASSIFY + ["--bogus"],
+    CLASSIFY + ["--output", "xml"],
+    CLASSIFY + ["--seed", "x"],
+    ["teleport", "--n", "1", "--l", "1", "--p", "1", "--mode", "bogus"],
+    ["sweep", "--n-grid", "0:1:0.1", "--regime", "deterministic"],
+]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _run_cli(argv, **env_extra):
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env_extra)
+    if "TELEPORTRIX_SEED" not in env_extra:
+        env.pop("TELEPORTRIX_SEED", None)
+    return subprocess.run([sys.executable, "-m", "teleportrix.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+# --- one parser per process ------------------------------------------------
+
+def test_repeated_main_calls_build_the_parser_once(monkeypatch):
+    monkeypatch.delenv("TELEPORTRIX_SEED", raising=False)
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for argv in GOOD + REJECTED + GOOD:
+        _run(argv)
+    assert len(calls) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize("bad", REJECTED, ids=range(len(REJECTED)))
+def test_rejected_argv_does_not_change_later_output(monkeypatch, bad):
+    monkeypatch.delenv("TELEPORTRIX_SEED", raising=False)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    alone = [_run(argv) for argv in GOOD]
+    assert all(rc == 0 for rc, _, _ in alone)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    rc, out, err = _run(bad)
+    assert (rc, out) == (1, "")
+    assert "error:" in err
+    assert [_run(argv) for argv in GOOD] == alone
+
+
+def test_failed_request_does_not_change_later_output(monkeypatch):
+    monkeypatch.delenv("TELEPORTRIX_SEED", raising=False)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    alone = [_run(argv) for argv in GOOD]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert _run(["classify", "--n", "nan", "--l", "1", "--p", "1"])[0] == 2
+    assert [_run(argv) for argv in GOOD] == alone
+
+
+# --- the sweep emitter against the generic route ---------------------------
+
+_COLUMNS = ("n", "success_probability", "repetitions", "inverse_success")
+
+
+def _old_rounded(value, digits):
+    if isinstance(value, dict):
+        return {k: _old_rounded(v, digits) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_old_rounded(v, digits) for v in value]
+    if isinstance(value, float):
+        return "Infinite" if math.isinf(value) else round(value, digits)
+    return value
+
+
+def _old_fmt(value, digits):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "Infinite" if math.isinf(value) else str(round(value, digits))
+    return str(value)
+
+
+def _old_sweep_text(grid_text, regime, output, digits):
+    """The sweep report as the generic route wrote it: expected_repetitions
+    per point, then the _rounded walk and json.dumps(indent=2), or _fmt
+    cells for CSV."""
+    grid = cli._parse_grid(grid_text)
+    if regime == "probabilistic2":
+        stack = teleport.two_faithful_stack(grid, 0)
+        designated = teleport.two_faithful_labels(0)
+    else:
+        stack = teleport.one_faithful_stack(grid, 1)
+        designated = (teleport.one_faithful_labels(1),)
+    success = stack.success(designated).tolist()
+    rows = list(zip(
+        grid,
+        success,
+        [teleport.expected_repetitions(n) for n in grid],
+        [1.0 / s if s > 0.0 else math.inf for s in success],
+    ))
+    if output == "csv":
+        lines = [",".join(_COLUMNS)]
+        lines.extend(",".join([_old_fmt(v, digits) for v in row]) for row in rows)
+        return "\n".join(lines) + "\n"
+    report = {
+        "command": "sweep",
+        "params": {"n_grid": grid_text, "regime": regime},
+        "seed": None,
+        "rows": [dict(zip(_COLUMNS, [_old_rounded(v, digits) for v in row])) for row in rows],
+    }
+    return json.dumps(report, indent=2) + "\n"
+
+
+@st.composite
+def _grids(draw):
+    step = draw(st.sampled_from([0.25, 0.1, 1e-3]) | st.floats(1e-4, 0.5))
+    count = draw(st.integers(1, 40))
+    start = draw(st.one_of(
+        st.just(0.0),
+        # a negative start that lands on 0 exactly, so 1/success is inf there
+        st.integers(1, count).map(lambda k: -(k * step)),
+        st.floats(-3.0, 3.0),
+        st.floats(-9.0, 9.0).map(lambda e: 10.0 ** e),
+    ))
+    return f"{start!r}:{start + (count - 1) * step!r}:{step!r}"
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    grid=_grids(),
+    regime=st.sampled_from(["probabilistic2", "probabilistic1"]),
+    output=st.sampled_from(["json", "csv"]),
+    digits=st.integers(6, 17),
+)
+def test_sweep_text_equals_generic_route(grid, regime, output, digits):
+    argv = ["sweep", f"--n-grid={grid}", "--regime", regime, "--output", output,
+            "--precision", str(digits)]
+    assert _run(argv) == (0, _old_sweep_text(grid, regime, output, digits), "")
+
+
+def test_sweep_with_infinite_cells_equals_generic_route():
+    grid = "-1:1:0.5"
+    for output in ("json", "csv"):
+        text = _run(["sweep", f"--n-grid={grid}", "--output", output])[1]
+        assert "Infinite" in text
+        assert text == _old_sweep_text(grid, "probabilistic2", output, 12)
+
+
+@pytest.mark.parametrize("n,l,p", [("0.5", "0.5", "0.5"), ("1", "1", "1"), ("0", "1", "1")])
+def test_classify_csv_equals_the_hand_built_line(n, l, p):
+    regime = teleport.classify(teleport.ProtocolParams(complex(n), complex(l), complex(p)))
+    expected = ",".join([
+        regime.regime,
+        ";".join(regime.faithful_outcomes),
+        _old_fmt(regime.success_probability, 12),
+        _old_fmt(regime.expected_repetitions, 12),
+    ])
+    rc, out, _ = _run(["classify", "--n", n, "--l", l, "--p", p, "--output", "csv"])
+    assert (rc, out) == (0, f"regime,faithful_outcomes,success_probability,expected_repetitions\n{expected}\n")
+
+
+def test_sweep_repetitions_overflow_names_the_parameter():
+    rc, out, err = _run(["sweep", "--n-grid", "1e100:1e100:1"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("teleportrix: n = ") and "is too large" in err
+
+
+# --- clean exits -----------------------------------------------------------
+
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, target):
+    path = tmp_path / "missing" / "report.json" if target == "missing_directory" else tmp_path
+    proc = _run_cli(CLASSIFY + ["--out", str(path)])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("teleportrix: cannot write the report to ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_out_writes_the_stdout_bytes(tmp_path):
+    path = tmp_path / "report.csv"
+    rc, out, _ = _run(GOOD[3] + ["--out", str(path)])
+    assert (rc, out) == (0, "")
+    assert path.read_bytes().decode("utf-8") == _run(GOOD[3])[1]
+
+
+def test_malformed_seed_variable_is_named():
+    proc = _run_cli(SAMPLED, TELEPORTRIX_SEED="abc")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "teleportrix: TELEPORTRIX_SEED must be an integer, got 'abc'\n"
