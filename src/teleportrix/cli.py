@@ -25,10 +25,11 @@ from .errors import ParseError, TeleportrixError
 SEED_ENV = "TELEPORTRIX_SEED"
 _PROBABILISTIC_REGIMES = ("probabilistic2", "probabilistic1")
 
-# Request size limits. Sampling memory is fixed by teleport.SAMPLE_CHUNK,
-# so MAX_SHOTS bounds run time only (10^9 shots take about 25 s on one
-# core of a 2-vCPU x86 VM); the input batch and the sweep report grow
-# with their counts, so those two bound memory.
+# Request size limits. Sampling memory is O(teleport.SAMPLE_CHUNK + K)
+# for K inputs whatever the shot count, so MAX_SHOTS bounds run time
+# only (10^9 shots take 5-8 s on one core of a 2-vCPU x86 VM); the
+# input batch and the sweep report grow with their counts, so
+# MAX_INPUTS and MAX_GRID_POINTS bound memory.
 MAX_SHOTS = 10**9
 MAX_INPUTS = 10**5
 MAX_GRID_POINTS = 10**5
@@ -208,7 +209,8 @@ def _analytic_block(n: complex) -> dict:
 
 
 def _cmd_teleport(args):
-    params = teleport.ProtocolParams(parse_complex(args.n), parse_complex(args.l), parse_complex(args.p))
+    values = _parse_params(args, ("n", "l", "p"))
+    params = teleport.ProtocolParams(*values.values())
     sampled = args.mode == "sampled"
     random_count = args.random_input
     if random_count is not None and not 1 <= random_count <= MAX_INPUTS:
@@ -249,7 +251,7 @@ def _cmd_teleport(args):
 
     report = {
         "command": "teleport",
-        "params": _param_block(args, ("n", "l", "p")),
+        "params": _param_block(values, args.precision),
         "input": input_desc,
         "mode": args.mode,
         "seed": seed,
@@ -267,9 +269,7 @@ def _sample_outcomes(probabilities, shots, rng, report):
     # shot i uses input i mod len(probabilities); faithful-branch
     # probability is input independent, so the faithful frequency
     # estimates the same number whatever the inputs.
-    totals = np.zeros(len(BASIS_LABELS), dtype=np.int64)
-    for indices in teleport.sample_outcomes(probabilities, shots, rng):
-        totals += np.bincount(indices, minlength=len(BASIS_LABELS))
+    totals = teleport.count_outcomes(probabilities, shots, rng)
     counts = {label: int(c) for label, c in zip(BASIS_LABELS, totals)}
     freqs = {label: counts[label] / shots for label in BASIS_LABELS}
     faithful_freq = sum(freqs[label] for label in report.faithful_outcomes)
@@ -281,20 +281,18 @@ def _sample_outcomes(probabilities, shots, rng, report):
     }
 
 
-def _param_block(args, names) -> dict:
-    out = {}
-    for name in names:
-        attr = name.replace("-", "_")
-        out[name] = format_complex(parse_complex(getattr(args, attr)), args.precision)
-    return out
+def _parse_params(args, names) -> dict:
+    """The complex parameters of a command by name, each parsed once, in order."""
+    return {name: parse_complex(getattr(args, name.replace("-", "_"))) for name in names}
+
+
+def _param_block(values: dict, digits: int) -> dict:
+    return {name: format_complex(z, digits) for name, z in values.items()}
 
 
 def _cmd_swap(args):
-    params = swap_mod.SwapParams(
-        parse_complex(args.m), parse_complex(args.n),
-        parse_complex(args.l), parse_complex(args.p),
-        parse_complex(args.l_prime), parse_complex(args.p_prime),
-    )
+    values = _parse_params(args, ("m", "n", "l", "p", "l-prime", "p-prime"))
+    params = swap_mod.SwapParams(*values.values())
     outcomes = swap_mod.swap_run(params)
     regime = swap_mod.classify_swap_outcomes(params, outcomes)
     table = [(
@@ -306,7 +304,7 @@ def _cmd_swap(args):
     ) for o in outcomes]
     report = {
         "command": "swap",
-        "params": _param_block(args, ("m", "n", "l", "p", "l-prime", "p-prime")),
+        "params": _param_block(values, args.precision),
         "seed": None,
         "regime": regime.regime,
         "outcomes": [dict(row) for row in table],
@@ -323,7 +321,8 @@ def _cmd_swap(args):
 
 
 def _cmd_classify(args):
-    params = teleport.ProtocolParams(parse_complex(args.n), parse_complex(args.l), parse_complex(args.p))
+    values = _parse_params(args, ("n", "l", "p"))
+    params = teleport.ProtocolParams(*values.values())
     regime = teleport.classify(params)
     row = (
         ("regime", regime.regime),
@@ -333,7 +332,7 @@ def _cmd_classify(args):
     )
     report = {
         "command": "classify",
-        "params": _param_block(args, ("n", "l", "p")),
+        "params": _param_block(values, args.precision),
         "seed": None,
         **dict(row),
         "analytic": _analytic_block(params.n),

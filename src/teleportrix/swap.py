@@ -22,7 +22,7 @@ closed-form probabilities can be checked against it.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,18 +120,20 @@ def two_outcome_swap_probability(m, n) -> float:
 
     Evaluates M^4 N^4 [ |n|^2 (1 + |m|^2)^2 + |m|^2 (1 + |n|^2)^2 ],
     which is |n|^2/(1+|n|^2)^2 + |m|^2/(1+|m|^2)^2. One half when both
-    pairs are maximally entangled. Where |m| and |n| are both large,
-    M^4 N^4 underflows to 0 while the bracket overflows; the product is
-    then NaN and the equal two-term form is returned instead.
+    pairs are maximally entangled. Where |m| and |n| are large, M^4 N^4
+    is subnormal (digits lost) or 0 while the bracket grows or
+    overflows, so below the smallest normal float the equal two-term
+    form is returned instead. A normal M^4 N^4 keeps each bracket term
+    below 1 / (M^4 N^4), so the product form is finite wherever it is
+    used.
     """
     m = finite_complex(m, "m")
     n = finite_complex(n, "n")
     m2, n2 = squared_modulus(m, "m", power=2), squared_modulus(n, "n", power=2)
     m4 = 1.0 / (1.0 + m2) ** 2
     n4 = 1.0 / (1.0 + n2) ** 2
-    total = m4 * n4 * (n2 * (1.0 + m2) ** 2 + m2 * (1.0 + n2) ** 2)
-    if math.isfinite(total):
-        return total
+    if m4 * n4 >= sys.float_info.min:
+        return m4 * n4 * (n2 * (1.0 + m2) ** 2 + m2 * (1.0 + n2) ** 2)
     return n2 / (1.0 + n2) ** 2 + m2 / (1.0 + m2) ** 2
 
 

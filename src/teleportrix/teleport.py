@@ -29,8 +29,10 @@ array of G parameter tuples at once; transfer_matrices and
 protocol_branches are its batch of one, and sweeps over the resource
 parameter go through two_faithful_stack / one_faithful_stack.
 evaluate_inputs adds the corrections and applies the matrices to a
-whole (K, 2) batch of inputs at once, and sample_outcomes draws shots
-against the batch. run is the batch of one.
+whole (K, 2) batch of inputs at once. Shots against the batch come from
+one chunked draw over contiguous slices of the CDF columns:
+sample_outcomes yields the outcome index of every shot, count_outcomes
+only the four counts. run is the batch of one.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ from .tolerances import TOL_EQ, TOL_NORM, TOL_PROB
 INFINITE = math.inf
 
 # Shots drawn per rng.random call. Working memory is a few arrays of
-# this length, so it stays small whatever the shot count; the outcomes
-# do not depend on it.
+# this length plus a CDF buffer of 3 (K + SAMPLE_CHUNK) entries for K
+# inputs, so it stays small whatever the shot count; the outcomes do
+# not depend on it.
 SAMPLE_CHUNK = 4096
 
 # Parameter choices with two faithful outcomes, indexed 0..3: join the
@@ -542,22 +545,66 @@ def haar_inputs(count: int, rng) -> np.ndarray:
     return vec / np.sqrt(rowwise_vdot(re, re) + rowwise_vdot(im, im))[:, None]
 
 
+def _cdf_chunks(probabilities, shots: int, rng):
+    """Draws of `shots` shots in chunks of SAMPLE_CHUNK, with their CDF entries.
+
+    probabilities is a (K, 4) array; shot i uses row i mod K. The first
+    three CDF columns are laid out once as the rows of a (3, W)
+    wrap-around buffer, W = K + min(SAMPLE_CHUNK, shots) and entry j
+    holding input j mod K, so the inputs of a chunk are one contiguous
+    slice of each row starting at start mod K. Yields (draws, block) per
+    chunk, block the (3, len(draws)) view of those slices. Drawing
+    rng.random in chunks consumes the generator exactly as one call for
+    all shots would.
+    """
+    probabilities = np.asarray(probabilities, dtype=float)
+    if probabilities.ndim != 2 or probabilities.shape[0] == 0 or probabilities.shape[1] != 4:
+        raise BadInput(f"probabilities must be a nonempty (K, 4) array, got shape {probabilities.shape}")
+    rows = len(probabilities)
+    width = rows + min(SAMPLE_CHUNK, shots)
+    cdf = np.cumsum(probabilities[:, :3], axis=1).T
+    # np.tile, not np.resize: np.resize concatenates one copy per
+    # repeat, about 0.5 ms for a single input and a full chunk.
+    buffer = np.tile(cdf, (1, -(-width // rows)))
+    for start in range(0, shots, SAMPLE_CHUNK):
+        draws = rng.random(min(SAMPLE_CHUNK, shots - start))
+        offset = start % rows
+        yield draws, buffer[:, offset:offset + len(draws)]
+
+
 def sample_outcomes(probabilities: np.ndarray, shots: int, rng):
     """Outcome indices of `shots` draws, yielded in chunks of SAMPLE_CHUNK.
 
     probabilities is a (K, 4) array; shot i uses row i mod K. Each draw u
     is inverted through that row's CDF: the index is the number of its
     first three cumulative sums that are <= u, i.e. searchsorted(cdf, u,
-    side="right") capped at 3. Drawing rng.random in chunks consumes the
-    generator exactly as one call for all shots would, so the outcomes
-    do not depend on the chunk size.
+    side="right") capped at 3. The generator is consumed exactly as one
+    rng.random call for all shots would consume it, so the outcomes do
+    not depend on the chunk size. count_outcomes gives the counts of
+    these indices without forming them.
     """
-    cdf = np.cumsum(probabilities, axis=1)
-    c0, c1, c2 = (np.ascontiguousarray(cdf[:, j]) for j in range(3))
-    for start in range(0, shots, SAMPLE_CHUNK):
-        draws = rng.random(min(SAMPLE_CHUNK, shots - start))
-        row = np.arange(start, start + len(draws)) % len(cdf)
-        yield (c0[row] <= draws).astype(np.intp) + (c1[row] <= draws) + (c2[row] <= draws)
+    for draws, block in _cdf_chunks(probabilities, shots, rng):
+        yield (block <= draws).sum(axis=0, dtype=np.intp)
+
+
+def count_outcomes(probabilities, shots: int, rng) -> np.ndarray:
+    """(4,) int64 counts of the sample_outcomes indices for the same generator state.
+
+    Rows must be nonnegative (a negative or NaN entry raises BadInput),
+    so the cumulative sums of a row do not decrease and {c0 <= u}
+    contains {c1 <= u}, which contains {c2 <= u}. With A_j the number of
+    shots whose draw is >= c_j, the counts are S - A0, A0 - A1, A1 - A2
+    and A2: three comparisons and counts per chunk, with no per-shot
+    index array. Memory is O(SAMPLE_CHUNK + K) whatever the shot count.
+    """
+    probabilities = np.asarray(probabilities, dtype=float)
+    if not np.all(probabilities >= 0.0):
+        raise BadInput("probabilities must be nonnegative numbers")
+    at_least = [0, 0, 0]
+    for draws, block in _cdf_chunks(probabilities, shots, rng):
+        for j in range(3):
+            at_least[j] += int(np.count_nonzero(block[j] <= draws))
+    return -np.diff(np.array([shots, *at_least, 0], dtype=np.int64))
 
 
 def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int | None = None) -> RunResult:

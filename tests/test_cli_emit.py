@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teleportrix import cli, teleport
+from teleportrix import cli, complexfmt, teleport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -232,3 +232,27 @@ def test_malformed_seed_variable_is_named():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "teleportrix: TELEPORTRIX_SEED must be an integer, got 'abc'\n"
+
+
+# --- each complex argument parsed once ---------------------------------------
+
+@pytest.mark.parametrize("argv,parsed", [
+    (CLASSIFY, 3),
+    (["swap", "--m", "0.5", "--n", "2", "--l", "0.5", "--p", "2", "--l-prime", "0.5", "--p-prime", "2"], 6),
+    (["teleport", "--n", "0.5", "--l", "0.5", "--p", "2", "--alpha", "0.6", "--beta", "0.8i"], 5),
+])
+def test_each_complex_argument_is_parsed_once(monkeypatch, argv, parsed):
+    # the params block formats the values the command parsed, so the
+    # parse count is one per complex argument on the command line
+    calls = []
+    parse = complexfmt.parse_complex
+
+    def counting(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(complexfmt, "parse_complex", counting)
+    monkeypatch.setattr(cli, "parse_complex", counting)
+    code, _, _ = _run(argv)
+    assert code == 0
+    assert len(calls) == parsed

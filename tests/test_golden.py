@@ -13,11 +13,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleportrix import qcore, teleport
 from teleportrix.cli import main
 from teleportrix.ebasis import BASIS_LABELS
-from teleportrix.errors import SingularMatrix
+from teleportrix.errors import BadInput, SingularMatrix
 from teleportrix.qcore import PureState
 from teleportrix.tolerances import TOL_EQ, TOL_NORM, TOL_PROB
 
@@ -278,3 +280,79 @@ def test_sampler_draw_on_a_cdf_step_goes_to_the_later_outcome():
     draws = [0.0, 0.5, 0.75, 0.9999, 0.25]
     got = next(teleport.sample_outcomes(probabilities, len(draws), _FixedDraws(draws)))
     assert got.tolist() == [0, 2, 3, 3, 0]
+
+
+# --- counts straight from the CDF slices ---------------------------------------
+
+def _rows_with_ties(count, seed):
+    # random rows, every third with a zero second entry (c0 == c1), plus
+    # whole rows of dyadic ties and a row all on the last outcome
+    rng = np.random.default_rng(seed)
+    probabilities = rng.random((count, 4))
+    probabilities[::3, 1] = 0.0
+    probabilities[1::5] = (0.5, 0.0, 0.5, 0.0)
+    probabilities[2::7] = (0.0, 0.0, 0.0, 1.0)
+    return probabilities / probabilities.sum(axis=1, keepdims=True)
+
+
+def _sampled_bincount(probabilities, shots, rng):
+    indices = np.concatenate(list(teleport.sample_outcomes(probabilities, shots, rng)))
+    return np.bincount(indices, minlength=4)
+
+
+@pytest.mark.parametrize("rows,shots", [
+    (1, 2 * 4096 + 5), (7, 2 * 4096 + 5), (4097, 2 * 4096 + 5), (10_000, 2 * 4096 + 5),
+    (10_000, 300), (7, 3),
+])
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_counts_equal_bincount_of_sampled_indices(monkeypatch, chunk, rows, shots):
+    probabilities = _rows_with_ties(rows, rows + shots)
+    expected = np.bincount(_reference_indices(probabilities, shots, np.random.default_rng(9)), minlength=4)
+    monkeypatch.setattr(teleport, "SAMPLE_CHUNK", chunk)
+    counts = teleport.count_outcomes(probabilities, shots, np.random.default_rng(9))
+    assert counts.dtype == np.int64 and counts.shape == (4,)
+    assert np.array_equal(counts, expected)
+    assert np.array_equal(_sampled_bincount(probabilities, shots, np.random.default_rng(9)), expected)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 4096])
+def test_counts_of_draws_on_cdf_steps(monkeypatch, chunk):
+    # shot i uses row i mod 2; every draw but the 0.9999 lands exactly on
+    # a cumulative sum and goes to the later outcome, as in searchsorted
+    # (side="right")
+    probabilities = np.array([[0.25, 0.25, 0.25, 0.25], [0.0, 0.5, 0.0, 0.5]])
+    draws = [0.25, 0.5, 0.5, 0.0, 0.75, 0.75, 0.9999, 0.0]
+    expected = [1, 3, 2, 1, 3, 3, 3, 1]
+    monkeypatch.setattr(teleport, "SAMPLE_CHUNK", chunk)
+    indices = np.concatenate(list(teleport.sample_outcomes(probabilities, len(draws), _FixedDraws(draws))))
+    assert indices.tolist() == expected
+    counts = teleport.count_outcomes(probabilities, len(draws), _FixedDraws(draws))
+    assert counts.tolist() == np.bincount(expected, minlength=4).tolist()
+
+
+@pytest.mark.parametrize("bad", [-0.1, -0.0 - 1e-300, np.nan])
+def test_counts_reject_negative_or_nan_rows(bad):
+    probabilities = np.array([[0.25, 0.25, 0.25, 0.25], [0.5, bad, 0.3, 0.3]])
+    with pytest.raises(BadInput):
+        teleport.count_outcomes(probabilities, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("probabilities", [np.zeros((0, 4)), np.full((3, 3), 1 / 3), np.full(4, 0.25)])
+def test_sampler_rejects_a_table_that_is_not_k_by_4(probabilities):
+    with pytest.raises(BadInput):
+        teleport.count_outcomes(probabilities, 10, np.random.default_rng(0))
+    with pytest.raises(BadInput):
+        next(teleport.sample_outcomes(probabilities, 10, np.random.default_rng(0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), st.integers(1, 400), st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_counts_equal_per_shot_loop_for_any_rows_shots_and_chunk(rows, shots, chunk, seed):
+    probabilities = _rows_with_ties(rows, seed)
+    expected = np.bincount(_reference_indices(probabilities, shots, np.random.default_rng(seed)), minlength=4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(teleport, "SAMPLE_CHUNK", chunk)
+        counts = teleport.count_outcomes(probabilities, shots, np.random.default_rng(seed))
+        sampled = _sampled_bincount(probabilities, shots, np.random.default_rng(seed))
+    assert np.array_equal(counts, expected)
+    assert np.array_equal(sampled, expected)
