@@ -17,7 +17,7 @@ import re
 
 import numpy as np
 
-from .errors import NonFinite, ParseError
+from .errors import BadInput, NonFinite, ParseError
 
 _REAL = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _RE_REAL = re.compile(rf"^({_REAL})$")
@@ -75,6 +75,23 @@ def finite_complex(value, name: str = "parameter") -> complex:
     if not cmath.isfinite(z):
         raise NonFinite(f"{name} must be finite, got {z!r}")
     return z
+
+
+def finite_rows(rows, what: str) -> np.ndarray:
+    """(R, G) complex array of R nonempty (G,) arrays of finite values.
+
+    Raises BadInput for ragged or non-vector rows and NonFinite for a
+    NaN or infinite entry; `what` names the rows in the message.
+    """
+    try:
+        array = np.array(rows, dtype=complex)
+    except ValueError:
+        raise BadInput(f"{what} must be arrays of one shape") from None
+    if array.ndim != 2 or array.shape[1] == 0:
+        raise BadInput(f"{what} must be nonempty (G,) arrays, got shape {array.shape[1:]}")
+    if not np.isfinite(array).all():
+        raise NonFinite(f"{what} must be finite")
+    return array
 
 
 def _too_large(name: str, z: complex) -> NonFinite:

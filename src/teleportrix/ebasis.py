@@ -19,17 +19,22 @@ the text format of complexfmt.parse_complex.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .complexfmt import finite_complex, squared_modulus, weight
+from .complexfmt import finite_complex, finite_rows, squared_moduli, squared_modulus, weight
 from .errors import ParseError
-from .qcore import PureState
+from .qcore import PureState, shannon_entropy
 
 BASIS_LABELS = ("PhiPlus", "PhiMinus", "PsiPlus", "PsiMinus")
+
+
+def regime_name(k: int, none: str) -> str:
+    """Deterministic for k = 4 good outcomes, `none` for 0, else Probabilistic(k=k)."""
+    return "Deterministic" if k == 4 else none if k == 0 else f"Probabilistic(k={k})"
+
 
 # Coefficients of each computational basis vector on its parity pair:
 # |00> = L (PhiPlus + l PhiMinus)      |01> = P (PsiPlus + p PsiMinus)
@@ -61,24 +66,32 @@ class EntangledBasis:
     params: BasisParams
     vectors: dict
 
-    def vector(self, label: str) -> PureState:
-        return self.vectors[label]
+
+def basis_stack(ell, p) -> np.ndarray:
+    """(G, 4, 4) vectors of the family for (G,) arrays of finite l and p.
+
+    Row k of tuple g is the amplitude vector of BASIS_LABELS[k]. A real
+    weight times a complex parameter is numpy's complex multiply with a
+    zero imaginary part, the two single products Python forms for it,
+    so general_basis, the batch of one, keeps its bits.
+    """
+    params = finite_rows([ell, p], "ell and p")
+    lw, pw = 1.0 / np.sqrt(1.0 + squared_moduli(params, ("ell", "p")))
+    vecs = np.zeros((params.shape[1], 4, 4), dtype=complex)
+    vecs[:, 0, 0], vecs[:, 0, 3] = lw, lw * params[0]
+    vecs[:, 1, 0], vecs[:, 1, 3] = lw * params[0].conj(), -lw
+    vecs[:, 2, 1], vecs[:, 2, 2] = pw, pw * params[1]
+    vecs[:, 3, 1], vecs[:, 3, 2] = pw * params[1].conj(), -pw
+    return vecs
 
 
 def general_basis(params: BasisParams, labels: Sequence = ("0", "1")) -> EntangledBasis:
     """Construct the basis for given (l, p) on a named qubit pair."""
     if not isinstance(params, BasisParams):
         params = BasisParams(*params)
-    l, p = params.ell, params.p
-    lw, pw = weight(l, "ell"), weight(p, "p")
+    rows = basis_stack([params.ell], [params.p])[0]
     labels_t = tuple(labels)
-    vectors = {
-        "PhiPlus": PureState(labels_t, np.array([lw, 0, 0, lw * l])),
-        "PhiMinus": PureState(labels_t, np.array([lw * l.conjugate(), 0, 0, -lw])),
-        "PsiPlus": PureState(labels_t, np.array([0, pw, pw * p, 0])),
-        "PsiMinus": PureState(labels_t, np.array([0, pw * p.conjugate(), -pw, 0])),
-    }
-    return EntangledBasis(params, vectors)
+    return EntangledBasis(params, {k: PureState(labels_t, v) for k, v in zip(BASIS_LABELS, rows)})
 
 
 def resource_state(n, labels: Sequence = ("1", "2")) -> PureState:
@@ -98,12 +111,7 @@ def basis_entropy(c) -> float:
     c = finite_complex(c, "c")
     mod2 = squared_modulus(c, "c")
     w0 = 1.0 / (1.0 + mod2)
-    w1 = w0 * mod2
-    h = 0.0
-    for w in (w0, w1):
-        if w > 0.0:
-            h -= w * math.log2(w)
-    return min(max(h, 0.0), 1.0)
+    return shannon_entropy((w0, w0 * mod2), 1.0)
 
 
 def expand_computational(bits: str, params: BasisParams) -> tuple:

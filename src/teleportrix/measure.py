@@ -33,7 +33,8 @@ class MeasurementOutcome:
     residual: PureState | None
 
 
-def _pair_positions(s: PureState, pair: Sequence) -> tuple:
+def _projection(s: PureState, pair: Sequence, basis: EntangledBasis) -> tuple:
+    """(remaining labels, the four unnormalized residuals, their probabilities)."""
     pair_t = tuple(pair)
     if len(pair_t) != 2 or pair_t[0] == pair_t[1]:
         raise BadPair(f"need two distinct labels, got {pair_t!r}")
@@ -41,7 +42,17 @@ def _pair_positions(s: PureState, pair: Sequence) -> tuple:
         raise BadPair(f"{set(pair_t) - set(s.qubits)!r} not in register {s.qubits!r}")
     if s.num_qubits < 3:
         raise BadPair("state must keep at least one unmeasured qubit")
-    return pair_t
+    rest = tuple(q for q in s.qubits if q not in pair_t)
+    pos = tuple(s.qubits.index(q) for q in pair_t)
+    block = np.moveaxis(s.as_tensor(), pos, (0, 1)).reshape(4, -1)
+    resids = [basis.vectors[label].amps.conj() @ block for label in BASIS_LABELS]
+    return rest, resids, [float(np.vdot(r, r).real) for r in resids]
+
+
+def _outcome(k: int, rest: tuple, resid: np.ndarray, prob: float) -> MeasurementOutcome:
+    if prob < TOL_PROB:
+        return MeasurementOutcome(BASIS_LABELS[k], prob, None)
+    return MeasurementOutcome(BASIS_LABELS[k], prob, PureState(rest, resid / np.sqrt(prob)))
 
 
 def project_all(s: PureState, pair: Sequence, basis: EntangledBasis) -> tuple:
@@ -51,34 +62,21 @@ def project_all(s: PureState, pair: Sequence, basis: EntangledBasis) -> tuple:
     vectors' amplitude index. Probabilities sum to 1 up to rounding
     because the basis is orthonormal and complete on the pair.
     """
-    pair_t = _pair_positions(s, pair)
-    rest = tuple(q for q in s.qubits if q not in pair_t)
-    pos = tuple(s.qubits.index(q) for q in pair_t)
-    block = np.moveaxis(s.as_tensor(), pos, (0, 1)).reshape(4, -1)
-    outcomes = []
-    for label in BASIS_LABELS:
-        resid = basis.vectors[label].amps.conj() @ block
-        prob = float(np.vdot(resid, resid).real)
-        if prob < TOL_PROB:
-            outcomes.append(MeasurementOutcome(label, prob, None))
-        else:
-            outcomes.append(
-                MeasurementOutcome(label, prob, PureState(rest, resid / np.sqrt(prob)))
-            )
-    return tuple(outcomes)
+    rest, resids, probs = _projection(s, pair, basis)
+    return tuple(_outcome(k, rest, r, prob) for k, (r, prob) in enumerate(zip(resids, probs)))
 
 
 def sample(s: PureState, pair: Sequence, basis: EntangledBasis, seed: int) -> MeasurementOutcome:
     """Draw one outcome by inverse CDF over the four probabilities.
 
     The generator is numpy's seeded PCG64; the same seed always yields
-    the same outcome.
+    the same outcome. Only the drawn outcome's residual state is built.
     """
-    outcomes = project_all(s, pair, basis)
+    rest, resids, probs = _projection(s, pair, basis)
     u = np.random.default_rng(seed).random()
     acc = 0.0
-    for outcome in outcomes:
-        acc += outcome.probability
+    for k, prob in enumerate(probs):
+        acc += prob
         if u < acc:
-            return outcome
-    return outcomes[-1]
+            break
+    return _outcome(k, rest, resids[k], probs[k])

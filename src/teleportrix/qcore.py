@@ -137,19 +137,14 @@ class SchmidtForm:
 
 
 def make_state(labels: Sequence, amps: Iterable) -> PureState:
-    """Build a normalized state; rejects zero vectors and bad shapes."""
-    labels_t = tuple(labels)
+    """Build a normalized state; rejects zero vectors and bad shapes (PureState's check)."""
     arr = np.array(list(amps), dtype=complex)
-    if arr.size != 2 ** len(labels_t):
-        raise ShapeError(
-            f"{len(labels_t)} labels need {2 ** len(labels_t)} amplitudes, got {arr.size}"
-        )
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise NormalizationError("amplitudes must be finite")
     norm_sq = float(np.vdot(arr, arr).real)
     if norm_sq < 1e-12:
         raise NormalizationError("cannot normalize a (near-)zero vector")
-    return PureState(labels_t, arr / math.sqrt(norm_sq))
+    return PureState(tuple(labels), arr / math.sqrt(norm_sq))
 
 
 def basis_state(labels: Sequence, bits: str) -> PureState:
@@ -254,14 +249,18 @@ def schmidt(s: PureState) -> SchmidtForm:
     return SchmidtForm((sv[0], sv[1]), u, v.conj())
 
 
+def shannon_entropy(weights, cap: float) -> float:
+    """-sum w log2 w in bits over the positive weights (0 log 0 = 0), clamped to [0, cap]."""
+    h = 0.0
+    for w in weights:
+        if w > 0.0:
+            h -= w * math.log2(w)
+    return min(max(h, 0.0), cap)
+
+
 def entropy(d: DensityMatrix) -> float:
     """Von Neumann entropy in ebits, with 0 log 0 = 0; clamped to [0, log2 dim]."""
-    evals = np.linalg.eigvalsh(d.entries)
-    h = 0.0
-    for lam in evals:
-        if lam > 0.0:
-            h -= lam * math.log2(lam)
-    return min(max(h, 0.0), math.log2(d.dim))
+    return shannon_entropy(np.linalg.eigvalsh(d.entries), math.log2(d.dim))
 
 
 def fidelity(a: PureState, b: PureState) -> float:

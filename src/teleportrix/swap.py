@@ -15,24 +15,31 @@ primed coefficients per outcome are
 times the overall M N. An outcome is "reliable" when one coefficient of
 its pair vanishes, so (b, 2) collapses onto a single primed vector up to
 phase. The primed family is an analysis basis only; nothing is applied
-to (b, 2). swap_run computes everything by brute-force projection of
-the four-qubit state, never from the coefficient table above, so the
+to (b, 2). Everything is computed by brute-force projection of the
+four-qubit state, never from the coefficient table above, so the
 closed-form probabilities can be checked against it.
+
+swap_stack does that projection for a whole array of G parameter tuples
+at once: one matmul of the measurement basis against the start states
+gives every residual, one more against the primed basis every
+coefficient, and one stacked eigvalsh every (b, 2) entropy, with no
+per-outcome state or density-matrix object. swap_run is its batch of
+one.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import measure, qcore
-from .complexfmt import finite_complex, squared_modulus, weight
-from .ebasis import BASIS_LABELS, BasisParams, general_basis
+from .complexfmt import finite_complex, finite_rows, squared_moduli, squared_modulus
+from .ebasis import BASIS_LABELS, basis_stack, regime_name
 from .errors import NonFinite
-from .qcore import PureState
-from .tolerances import TOL_EQ
+from .qcore import PureState, rowwise_vdot, shannon_entropy
+from .tolerances import TOL_EQ, TOL_PROB
 
 
 @dataclass(frozen=True)
@@ -56,16 +63,22 @@ class SwapOutcome:
     """One (a, 1) outcome with the analyzed (b, 2) remainder.
 
     target names the primed vector the remainder collapses onto when the
-    outcome is reliable. b2_state, target and b2_entropy are None for
-    outcomes of negligible probability.
+    outcome is reliable. b2_amps (the normalized remainder on (b, 2)),
+    target and b2_entropy are None for outcomes of negligible
+    probability.
     """
 
     label: str
     probability: float
-    b2_state: PureState | None
+    b2_amps: np.ndarray | None
     reliable: bool
     target: str | None
     b2_entropy: float | None
+
+    @property
+    def b2_state(self) -> PureState | None:
+        """The remainder as a validated state on (b, 2), built on access."""
+        return None if self.b2_amps is None else PureState(("b", "2"), self.b2_amps)
 
 
 @dataclass(frozen=True)
@@ -79,40 +92,91 @@ class SwapRegimeReport:
     psi_branch_conditions: bool
 
 
+@dataclass(frozen=True, eq=False)
+class SwapStack:
+    """Every (a, 1) outcome of G parameter tuples, outcome k in label order.
+
+    states[g, k] is the normalized (b, 2) remainder, zero below TOL_PROB,
+    where entropies[g, k] is NaN; targets[g, k] indexes the primed vector
+    of a reliable outcome and is -1 otherwise.
+    """
+
+    probabilities: np.ndarray
+    states: np.ndarray
+    reliable: np.ndarray
+    targets: np.ndarray
+    entropies: np.ndarray
+
+    def outcomes(self, g: int) -> tuple:
+        """The four SwapOutcome records of tuple g."""
+        rows = zip(BASIS_LABELS, self.probabilities[g].tolist(), self.states[g],
+                   self.reliable[g].tolist(), self.targets[g].tolist(), self.entropies[g].tolist())
+        return tuple(
+            SwapOutcome(label, prob, None, False, None, None) if math.isnan(ent) else
+            SwapOutcome(label, prob, state, reliable, BASIS_LABELS[target] if reliable else None, ent)
+            for label, prob, state, reliable, target, ent in rows)
+
+
 def swap_inputs(m, n) -> PureState:
     """Four-qubit start state on (a, b, 1, 2)."""
-    m = finite_complex(m, "m")
-    n = finite_complex(n, "n")
-    mw, nw = weight(m, "m"), weight(n, "n")
-    first = PureState(("a", "b"), np.array([mw, 0, 0, mw * m]))
-    second = PureState(("1", "2"), np.array([0, nw, nw * n, 0]))
-    return qcore.tensor(first, second)
+    pairs = np.array([[finite_complex(m, "m")], [finite_complex(n, "n")]])
+    return PureState(("a", "b", "1", "2"), _start_states(pairs)[0].reshape(-1))
+
+
+def _start_states(pairs: np.ndarray) -> np.ndarray:
+    """(G, 4, 4) start states [ab, 12] of a (2, G) array of m and n.
+
+    M (|00> + m |11>) times N (|01> + n |10>) by the broadcast multiply
+    np.kron uses.
+    """
+    mw, nw = 1.0 / np.sqrt(1.0 + squared_moduli(pairs, ("m", "n")))
+    first = np.zeros((pairs.shape[1], 4), dtype=complex)
+    second = np.zeros_like(first)
+    first[:, 0], first[:, 3] = mw, mw * pairs[0]
+    second[:, 1], second[:, 2] = nw, nw * pairs[1]
+    return first[:, :, None] * second[:, None, :]
+
+
+def swap_stack(m, n, ell, p, ell_prime, p_prime) -> SwapStack:
+    """Measure (a, 1) and analyze every (b, 2) remainder of G parameter tuples.
+
+    The arguments are (G,) arrays of finite complex numbers. An outcome
+    of probability >= TOL_PROB is reliable when the magnitude of every
+    primed coefficient but the largest is at most TOL_EQ times it. The
+    arithmetic is that of the single-state routes (project_all, np.vdot,
+    entropy of reduced_density), so a tuple gives the same bits whatever G.
+    """
+    params = finite_rows([m, n, ell, p, ell_prime, p_prime], "swap parameters")
+    basis = basis_stack(params[2], params[3])
+    primed = basis_stack(params[4], params[5])
+    # [ab, 12] -> [a, b, 1, 2] -> [(a, 1), (b, 2)]
+    block = _start_states(params[:2]).reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
+    resid = np.matmul(basis.conj(), block.reshape(-1, 4, 4))
+    probs = rowwise_vdot(resid, resid).real
+    kept = probs >= TOL_PROB
+    states = resid / np.sqrt(np.where(kept, probs, 1.0))[..., None]
+    states[~kept] = 0.0
+    states.setflags(write=False)
+    coeffs = rowwise_vdot(primed[:, None], states[:, :, None])
+    mags = np.hypot(coeffs.real, coeffs.imag)
+    others, best = np.sort(mags, axis=-1)[..., -2:].transpose(2, 0, 1)
+    reliable = kept & (best > 0.0) & (others <= TOL_EQ * best)
+    targets = np.where(reliable, mags.argmax(axis=-1), -1)
+    # reduced densities A A^dag of A[b, 2], all eigenvalues in one call
+    amps = states.reshape(-1, 4, 2, 2)
+    lam = np.linalg.eigvalsh(np.matmul(amps, amps.conj().swapaxes(-1, -2)))
+    entropies = np.array([shannon_entropy(pair, 1.0) for pair in lam.reshape(-1, 2).tolist()])
+    entropies = np.where(kept, entropies.reshape(kept.shape), np.nan)
+    return SwapStack(probs, states, reliable, targets, entropies)
 
 
 def swap_run(params: SwapParams) -> tuple:
-    """Measure (a, 1) and analyze each (b, 2) remainder in the primed basis."""
-    joint = swap_inputs(params.m, params.n)
-    basis = general_basis(BasisParams(params.ell, params.p))
-    primed = general_basis(BasisParams(params.ell_prime, params.p_prime), labels=("b", "2"))
-    outcomes = []
-    for mo in measure.project_all(joint, ("a", "1"), basis):
-        if mo.residual is None:
-            outcomes.append(SwapOutcome(mo.label, mo.probability, None, False, None, None))
-            continue
-        coeffs = {
-            label: complex(np.vdot(primed.vectors[label].amps, mo.residual.amps))
-            for label in BASIS_LABELS
-        }
-        mags = {label: abs(c) for label, c in coeffs.items()}
-        best = max(mags, key=mags.get)
-        others = max(v for label, v in mags.items() if label != best)
-        reliable = mags[best] > 0.0 and others <= TOL_EQ * mags[best]
-        target = best if reliable else None
-        ent = qcore.entropy(qcore.reduced_density(mo.residual, ("b",)))
-        outcomes.append(
-            SwapOutcome(mo.label, mo.probability, mo.residual, reliable, target, ent)
-        )
-    return tuple(outcomes)
+    """Measure (a, 1) and analyze each (b, 2) remainder in the primed basis.
+
+    The batch of one of swap_stack: four SwapOutcome records.
+    """
+    return swap_stack([params.m], [params.n], [params.ell], [params.p],
+                      [params.ell_prime], [params.p_prime]).outcomes(0)
 
 
 def two_outcome_swap_probability(m, n) -> float:
@@ -199,16 +263,10 @@ def classify_swap_outcomes(params: SwapParams, outcomes) -> SwapRegimeReport:
     """classify_swap from outcomes swap_run(params) already returned."""
     reliable = tuple(o.label for o in outcomes if o.reliable)
     success = sum(o.probability for o in outcomes if o.reliable)
-    k = len(reliable)
-    if k == 4:
-        regime = "Deterministic"
-    elif k == 0:
-        regime = "NoReliable"
-    else:
-        regime = f"Probabilistic(k={k})"
     m, n = params.m, params.n
     l, p = params.ell, params.p
     lp, pp = params.ell_prime, params.p_prime
     cond_phi = _close(pp, m * n * l.conjugate()) and _close(l, m * n * pp.conjugate())
     cond_psi = _close(n * lp, m * p.conjugate()) and _close(n * p, m * lp.conjugate())
-    return SwapRegimeReport(regime, reliable, float(success), cond_phi, cond_psi)
+    return SwapRegimeReport(regime_name(len(reliable), "NoReliable"), reliable, float(success),
+                            cond_phi, cond_psi)

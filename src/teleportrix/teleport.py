@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure, qcore
-from .complexfmt import finite_complex, squared_moduli, squared_modulus
-from .ebasis import BASIS_LABELS, BasisParams, general_basis, resource_state
+from .complexfmt import finite_complex, finite_rows, squared_moduli, squared_modulus
+from .ebasis import BASIS_LABELS, BasisParams, general_basis, regime_name, resource_state
 from .errors import BadInput, CompletenessError, NonFinite, SingularMatrix
 from .qcore import PureState, _svd2, rowwise_vdot
 from .tolerances import TOL_EQ, TOL_NORM, TOL_PROB
@@ -205,15 +205,7 @@ def branch_stack(n, ell, p) -> BranchStack:
     scalar expressions in the module docstring, so a tuple gives the
     same bits whatever G.
     """
-    try:
-        params = np.array([n, ell, p], dtype=complex)
-    except ValueError:
-        raise BadInput("n, ell and p must be arrays of one shape") from None
-    if params.ndim != 2 or params.shape[1] == 0:
-        raise BadInput(f"n, ell and p must be nonempty (G,) arrays, got shape {params.shape[1:]}")
-    if not np.isfinite(params).all():
-        raise NonFinite("protocol parameters must be finite")
-    mats = _matrix_stack(params)
+    mats = _matrix_stack(finite_rows([n, ell, p], "n, ell and p"))
     grams = _grams(mats)
     _check_gram_total(grams)
     probabilities, faithful = _gram_analysis(grams)
@@ -225,6 +217,9 @@ def branch_stack(n, ell, p) -> BranchStack:
 # _matrix_stack: the PhiPlus/PhiMinus rows, then the PsiMinus/PsiPlus rows.
 _NONZERO = [0, 3, 4, 7, 13, 14, 9, 10]
 _EYE = np.eye(2)
+# Outcome labels as an object array, so a whole index array maps to
+# labels in one indexing step.
+_LABEL_ARRAY = np.array(BASIS_LABELS, dtype=object)
 
 
 def _matrix_stack(params: np.ndarray) -> np.ndarray:
@@ -350,15 +345,8 @@ def protocol_branches(params: ProtocolParams) -> ProtocolBranches:
     faithful = tuple(stack.faithful[0].tolist())
     labels = tuple(label for label, f in zip(BASIS_LABELS, faithful) if f)
     success = sum(prob for prob, f in zip(stack.probabilities[0].tolist(), faithful) if f)
-    k = len(labels)
-    if k == 4:
-        regime = "Deterministic"
-    elif k == 0:
-        regime = "NoFaithful"
-    else:
-        regime = f"Probabilistic(k={k})"
     repetitions = 1.0 / success if success > 0.0 else INFINITE
-    report = RegimeReport(regime, labels, float(success), repetitions)
+    report = RegimeReport(regime_name(len(labels), "NoFaithful"), labels, float(success), repetitions)
     return ProtocolBranches(_transfer_records(stack.matrices[0]), faithful, report)
 
 
@@ -465,9 +453,7 @@ def one_faithful_labels(index: int) -> str:
 
 def joint_state(input_amps, n) -> PureState:
     """Assembled three-qubit state: input on a, resource on (1, 2)."""
-    alpha, beta = (finite_complex(a, "input amplitude") for a in input_amps)
-    input_state = PureState(("a",), np.array([alpha, beta]))
-    return qcore.tensor(input_state, resource_state(n))
+    return qcore.tensor(PureState(("a",), np.array(_parsed_input(input_amps))), resource_state(n))
 
 
 def _parsed_input(input_amps) -> tuple:
@@ -637,7 +623,7 @@ def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int 
         seed = 0
     rng = np.random.default_rng(seed)
     indices = np.concatenate(list(sample_outcomes(batch.probabilities, shots, rng)))
-    labels = tuple(BASIS_LABELS[i] for i in indices)
+    labels = tuple(_LABEL_ARRAY[indices].tolist())
     counts = np.bincount(indices, minlength=4)
     freqs = {label: int(counts[k]) / shots for k, label in enumerate(BASIS_LABELS)}
     return RunResult(tuple(records), report, shots, seed, freqs, labels)

@@ -129,3 +129,29 @@ class TestSample:
         bound = 3.0 * math.sqrt(0.25 * 0.75 / shots)
         for label in BASIS_LABELS:
             assert abs(counts[label] / shots - 0.25) <= bound
+
+    def test_equals_the_drawn_outcome_of_project_all(self):
+        # sample builds only the drawn outcome's residual; it must be the
+        # outcome project_all gives at the inverse-CDF index of the seed's
+        # draw: same label, probability bits and residual amplitudes.
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            vec = rng.normal(size=8) + 1j * rng.normal(size=8)
+            if trial % 4 == 0:
+                # (a, b) in |01>: both Phi outcomes have probability 0
+                state = tensor(qcore.basis_state(("a", "b"), "01"), make_state(("c",), vec[:2]))
+            else:
+                state = make_state(("a", "b", "c"), vec)
+            basis = general_basis(BasisParams(*(complex(*rng.uniform(-2, 2, size=2)) for _ in range(2))))
+            outcomes = measure.project_all(state, ("a", "b"), basis)
+            cdf = np.cumsum([o.probability for o in outcomes])
+            for seed in range(50 * trial, 50 * trial + 50):
+                u = np.random.default_rng(seed).random()
+                want = outcomes[min(int(np.searchsorted(cdf, u, side="right")), 3)]
+                got = measure.sample(state, ("a", "b"), basis, seed)
+                assert (got.label, got.probability.hex()) == (want.label, want.probability.hex())
+                if want.residual is None:
+                    assert got.residual is None
+                else:
+                    assert got.residual.qubits == want.residual.qubits
+                    assert got.residual.amps.tobytes() == want.residual.amps.tobytes()

@@ -13,11 +13,11 @@ def _product_form(m, n):
 
 @pytest.mark.parametrize("mod,expected", [(1e60, 2e-120), (1e76, 2e-152)])
 def test_large_equal_moduli_give_the_two_term_form(mod, expected):
-    assert two_outcome_swap_probability(mod, mod) == pytest.approx(expected, rel=1e-12)
+    assert two_outcome_swap_probability(mod, mod) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_large_unequal_complex_moduli_give_the_two_term_form():
-    assert two_outcome_swap_probability(1e60j, -1e76) == pytest.approx(1e-120 + 1e-152, rel=1e-12)
+    assert two_outcome_swap_probability(1e60j, -1e76) == pytest.approx(1e-120 + 1e-152, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (0.5, 1.6), (0.3 - 0.4j, 2j), (1e-7, 1e7), (1e30, 1e30), (0, 3)])
