@@ -231,8 +231,9 @@ def _cmd_teleport(args):
         inputs = teleport.haar_inputs(random_count, rng)
         input_desc = {"kind": "haar", "count": random_count}
 
-    branches = teleport.protocol_branches(params)
-    batch = teleport.evaluate_inputs(branches, inputs)
+    stack = teleport.protocol_branches(params)
+    batch = teleport.evaluate_inputs(stack, inputs)
+    regime = stack.report(0)
     outcomes = []
     for idx, label in enumerate(BASIS_LABELS):
         fids = batch.fidelities[:, idx]
@@ -240,13 +241,13 @@ def _cmd_teleport(args):
         outcomes.append((
             ("label", label),
             ("probability", float(np.mean(batch.probabilities[:, idx]))),
-            ("faithful", branches.faithful[idx]),
+            ("faithful", label in regime.faithful_outcomes),
             ("fidelity", float(np.mean(fids)) if fids.size else None),
         ))
 
     empirical = None
     if sampled:
-        empirical = _sample_outcomes(batch.probabilities, args.shots, rng, branches.report)
+        empirical = _sample_outcomes(batch.probabilities, args.shots, rng, regime)
     frequencies = empirical["frequencies"] if empirical else {}
 
     report = {
@@ -255,7 +256,7 @@ def _cmd_teleport(args):
         "input": input_desc,
         "mode": args.mode,
         "seed": seed,
-        "regime": branches.report.regime,
+        "regime": regime.regime,
         "outcomes": [dict(row) for row in outcomes],
         "analytic": _analytic_block(params.n),
         "empirical": empirical,

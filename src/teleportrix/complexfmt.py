@@ -69,7 +69,7 @@ def as_complex(value) -> complex:
     return complex(value)
 
 
-def finite_complex(value, name: str = "parameter") -> complex:
+def finite_complex(value, name: str) -> complex:
     """as_complex plus a finiteness check; raises NonFinite otherwise."""
     z = as_complex(value)
     if not cmath.isfinite(z):

@@ -70,13 +70,10 @@ def sample(s: PureState, pair: Sequence, basis: EntangledBasis, seed: int) -> Me
     """Draw one outcome by inverse CDF over the four probabilities.
 
     The generator is numpy's seeded PCG64; the same seed always yields
-    the same outcome. Only the drawn outcome's residual state is built.
+    the same outcome, by the rule of teleport.sample_outcomes. Only the
+    drawn outcome's residual state is built.
     """
     rest, resids, probs = _projection(s, pair, basis)
     u = np.random.default_rng(seed).random()
-    acc = 0.0
-    for k, prob in enumerate(probs):
-        acc += prob
-        if u < acc:
-            break
+    k = int(np.count_nonzero(np.cumsum(probs[:3]) <= u))
     return _outcome(k, rest, resids[k], probs[k])

@@ -32,6 +32,7 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_E0 = PAULI_I[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,44 +200,43 @@ def reduced_density(s: PureState, keep: Sequence) -> DensityMatrix:
 
 
 def _svd2(a: np.ndarray):
-    """Closed-form singular value decomposition of a 2x2 complex matrix.
+    """Closed-form singular value decomposition of a (..., 2, 2) complex stack.
 
-    Returns (u, (s1, s2), v) with a = u @ diag(s1, s2) @ v^dag,
-    s1 >= s2 >= 0 and u, v unitary. Solved from the quadratic
-    characteristic polynomial of the Gram matrix a^dag a; no iterative
-    numerics involved.
+    Returns (u, s, v) with a = u @ diag(s[..., 0], s[..., 1]) @ v^dag,
+    s[..., 0] >= s[..., 1] >= 0 and u, v unitary, solved from the
+    quadratic characteristic polynomial of a^dag a. Each branch of the
+    one-matrix recipe is an np.where on its threshold, and each value
+    takes that recipe's float operations (the determinant as Python's
+    complex multiply, norms as np.linalg.norm, products as matvec), so a
+    matrix gives the same bits whatever the stack.
     """
     a = np.asarray(a, dtype=complex)
-    g = a.conj().T @ a
-    t = float(g[0, 0].real + g[1, 1].real)
-    d = float((g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]).real)
-    disc = math.sqrt(max(t * t - 4.0 * d, 0.0))
-    lam1 = max(0.5 * (t + disc), 0.0)
-    lam2 = max(0.5 * (t - disc), 0.0)
-    s1, s2 = math.sqrt(lam1), math.sqrt(lam2)
+    g = np.matmul(a.conj().swapaxes(-1, -2), a)
+    g00, g01, g10, g11 = (g[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    t = g00.real + g11.real
+    d = (g00.real * g11.real - g00.imag * g11.imag) - (g01.real * g10.real - g01.imag * g10.imag)
+    disc = np.sqrt(np.maximum(t * t - 4.0 * d, 0.0))
+    lam1 = np.maximum(0.5 * (t + disc), 0.0)
+    s1, s2 = np.sqrt(lam1), np.sqrt(np.maximum(0.5 * (t - disc), 0.0))
     # Eigenvector of g for lam1: both candidate rows solve (g - lam1) v = 0,
     # pick the numerically larger one; degenerate g is a multiple of I.
-    c1 = np.array([g[0, 1], lam1 - g[0, 0]], dtype=complex)
-    c2 = np.array([lam1 - g[1, 1], g[1, 0]], dtype=complex)
-    v1 = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-    nv = np.linalg.norm(v1)
-    if nv <= 1e-14 * max(t, 1.0):
-        v1 = np.array([1.0, 0.0], dtype=complex)
-    else:
-        v1 = v1 / nv
-    v2 = np.array([-np.conj(v1[1]), np.conj(v1[0])])
-    if s1 > 1e-12:
-        u1 = a @ v1 / s1
-        u1 = u1 / np.linalg.norm(u1)
-    else:
-        u1 = np.array([1.0, 0.0], dtype=complex)
-    if s2 > 1e-9 * max(s1, 1e-300):
-        u2 = a @ v2 / s2
-        u2 = u2 - np.vdot(u1, u2) * u1
-        u2 = u2 / np.linalg.norm(u2)
-    else:
-        u2 = np.array([-np.conj(u1[1]), np.conj(u1[0])])
-    return np.column_stack([u1, u2]), (s1, s2), np.column_stack([v1, v2])
+    c1 = np.stack([g01, lam1 - g00], axis=-1)
+    c2 = np.stack([lam1 - g11, g10], axis=-1)
+    n1, n2 = rowwise_norm(c1), rowwise_norm(c2)
+    first = n1 >= n2
+    nv = np.where(first, n1, n2)[..., None]
+    # The branch not taken is computed too, and may divide by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v1 = np.where(nv <= 1e-14 * np.maximum(t, 1.0)[..., None], _E0,
+                      np.where(first[..., None], c1, c2) / nv)
+        v2 = np.stack([-v1[..., 1].conj(), v1[..., 0].conj()], axis=-1)
+        u1 = matvec(a, v1) / s1[..., None]
+        u1 = np.where((s1 > 1e-12)[..., None], u1 / rowwise_norm(u1)[..., None], _E0)
+        u2 = matvec(a, v2) / s2[..., None]
+        u2 = u2 - rowwise_vdot(u1, u2)[..., None] * u1
+        u2 = np.where((s2 > 1e-9 * np.maximum(s1, 1e-300))[..., None], u2 / rowwise_norm(u2)[..., None],
+                      np.stack([-u1[..., 1].conj(), u1[..., 0].conj()], axis=-1))
+    return np.stack([u1, u2], axis=-1), np.stack([s1, s2], axis=-1), np.stack([v1, v2], axis=-1)
 
 
 def schmidt(s: PureState) -> SchmidtForm:
@@ -286,6 +286,22 @@ def rowwise_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def states_close(a: PureState, b: PureState, tol: float = TOL_EQ) -> bool:
-    """Phase-insensitive state equality: fidelity >= 1 - tol."""
-    return fidelity(a, b) >= 1.0 - tol
+def rowwise_norm(vecs: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of every row of a (..., 2) complex stack, same bits."""
+    re, im = vecs.real, vecs.imag
+    return np.sqrt(rowwise_vdot(re, re) + rowwise_vdot(im, im))
+
+
+def matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats (..., 2, 2) times vecs (..., 2), broadcast over the leading axes.
+
+    Written out as 0 + m[:, 0] v0 + m[:, 1] v1, the products and the sum
+    from +0 of a single 2x2 matmul, so it gives the same bits, the sign
+    of a zero entry included.
+    """
+    return 0.0 + mats[..., 0] * vecs[..., None, 0] + mats[..., 1] * vecs[..., None, 1]
+
+
+def states_close(a: PureState, b: PureState) -> bool:
+    """Phase-insensitive state equality: fidelity >= 1 - TOL_EQ."""
+    return fidelity(a, b) >= 1.0 - TOL_EQ

@@ -28,8 +28,9 @@ faithfulness, branch probabilities) is done by branch_stack for a whole
 array of G parameter tuples at once; transfer_matrices and
 protocol_branches are its batch of one, and sweeps over the resource
 parameter go through two_faithful_stack / one_faithful_stack.
-evaluate_inputs adds the corrections and applies the matrices to a
-whole (K, 2) batch of inputs at once. Shots against the batch come from
+evaluate_inputs takes the one-tuple stack, computes its four polar
+corrections in one stacked closed-form SVD, and applies the matrices to
+a whole (K, 2) batch of inputs at once. Shots against the batch come from
 one chunked draw over contiguous slices of the CDF columns:
 sample_outcomes yields the outcome index of every shot, count_outcomes
 only the four counts. run is the batch of one.
@@ -38,6 +39,7 @@ only the four counts. run is the batch of one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +48,7 @@ from . import measure, qcore
 from .complexfmt import finite_complex, finite_rows, squared_moduli, squared_modulus
 from .ebasis import BASIS_LABELS, BasisParams, general_basis, regime_name, resource_state
 from .errors import BadInput, CompletenessError, NonFinite, SingularMatrix
-from .qcore import PureState, _svd2, rowwise_vdot
+from .qcore import PureState, _svd2, matvec, rowwise_norm, rowwise_vdot
 from .tolerances import TOL_EQ, TOL_NORM, TOL_PROB
 
 INFINITE = math.inf
@@ -87,9 +89,8 @@ class ProtocolParams:
     p: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "n", finite_complex(self.n, "n"))
-        object.__setattr__(self, "ell", finite_complex(self.ell, "ell"))
-        object.__setattr__(self, "p", finite_complex(self.p, "p"))
+        for name in ("n", "ell", "p"):
+            object.__setattr__(self, name, finite_complex(getattr(self, name), name))
 
     @property
     def basis_params(self) -> BasisParams:
@@ -151,18 +152,12 @@ class BranchStack:
         columns = [BASIS_LABELS.index(label) for label in labels]
         return self.probabilities[:, columns].sum(axis=1)
 
-
-@dataclass(frozen=True, eq=False)
-class ProtocolBranches:
-    """The input-independent part of a parameter tuple, computed once.
-
-    transfer holds the four TransferMatrix records in canonical label
-    order and faithful is_faithful of each.
-    """
-
-    transfer: tuple
-    faithful: tuple
-    report: RegimeReport
+    def report(self, g: int) -> RegimeReport:
+        """Regime, faithful outcomes and their total probability of tuple g."""
+        labels = tuple(label for label, f in zip(BASIS_LABELS, self.faithful[g].tolist()) if f)
+        success = float(self.success(labels)[g])
+        repetitions = 1.0 / success if success > 0.0 else INFINITE
+        return RegimeReport(regime_name(len(labels), "NoFaithful"), labels, success, repetitions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,16 +276,13 @@ def _gram_analysis(grams: np.ndarray) -> tuple:
     return c, positive & (deviation <= TOL_EQ)
 
 
-def _transfer_records(matrices) -> tuple:
-    return tuple(TransferMatrix(label, m) for label, m in zip(BASIS_LABELS, matrices))
-
-
 def transfer_matrices(params: ProtocolParams) -> tuple:
     """The four transfer matrices, in canonical outcome-label order.
 
     The batch of one of branch_stack, completeness check included.
     """
-    return _transfer_records(branch_stack([params.n], [params.ell], [params.p]).matrices[0])
+    matrices = protocol_branches(params).matrices[0]
+    return tuple(TransferMatrix(label, m) for label, m in zip(BASIS_LABELS, matrices))
 
 
 def check_completeness(matrices) -> None:
@@ -298,10 +290,12 @@ def check_completeness(matrices) -> None:
 
     Accepts any iterable of 2x2 matrices, a (K, 2, 2) stack, or a
     (G, K, 2, 2) stack checked group by group. A non-finite entry fails
-    the check rather than passing it.
+    the check rather than passing it; an empty input raises BadInput.
     """
     if not isinstance(matrices, np.ndarray):
-        matrices = np.stack(list(matrices))
+        matrices = np.array(list(matrices), dtype=complex)
+    if matrices.size == 0:
+        raise BadInput("check_completeness needs at least one matrix")
     _check_gram_total(_grams(matrices))
 
 
@@ -315,44 +309,44 @@ def branch_probability(tm: TransferMatrix) -> float:
     return float(_gram_analysis(_grams(tm.matrix))[0])
 
 
-def correction_unitary(tm: TransferMatrix) -> np.ndarray:
-    """Adjoint of the polar unitary factor of the transfer matrix.
+def _corrections(mats) -> np.ndarray:
+    """Adjoints of the polar unitary factors of a (..., 2, 2) stack.
 
     For a faithful matrix, U M is proportional to the identity, so Bob's
     application of U restores the input exactly. In the maximally
     entangled case the four corrections are the Pauli operators up to
     global phase. The same polar recipe is applied to unfaithful
     branches; it is input independent and gives a principled fidelity
-    number there too.
+    number there too. A zero matrix gets the identity.
     """
-    scale = float(np.max(np.abs(tm.matrix)))
-    if not scale > 0.0:
-        raise SingularMatrix("transfer matrix is numerically zero")
+    mats = np.asarray(mats, dtype=complex)
+    scale = np.abs(mats).max(axis=(-2, -1))[..., None, None]
     # _svd2 has absolute floors near 1e-12. The polar factor of M is
     # that of M / scale, so a tiny M is rescaled first; from an entry of
     # 1e-12 up, the largest singular value clears the floors as it is.
-    u, _, v = _svd2(tm.matrix if scale >= 1e-12 else tm.matrix / scale)
-    return v @ u.conj().T
+    u, _, v = _svd2(np.where(scale >= 1e-12, mats, mats / np.where(scale > 0.0, scale, 1.0)))
+    return np.where(scale > 0.0, np.matmul(v, u.conj().swapaxes(-1, -2)), _EYE)
 
 
-def protocol_branches(params: ProtocolParams) -> ProtocolBranches:
-    """Matrices, faithfulness and regime report of a parameter tuple.
+def correction_unitary(tm: TransferMatrix) -> np.ndarray:
+    """The polar correction of one transfer matrix; SingularMatrix if it is zero."""
+    if not np.max(np.abs(tm.matrix)) > 0.0:
+        raise SingularMatrix("transfer matrix is numerically zero")
+    return _corrections(tm.matrix)
 
-    The batch of one of branch_stack; the correction unitaries are left
-    to evaluate_inputs, since classify does not need them.
+
+def protocol_branches(params: ProtocolParams) -> BranchStack:
+    """Matrices, faithfulness and branch probabilities of one parameter tuple.
+
+    The batch of one of branch_stack; report(0) is its regime. The
+    corrections are left to evaluate_inputs: classify does not need them.
     """
-    stack = branch_stack([params.n], [params.ell], [params.p])
-    faithful = tuple(stack.faithful[0].tolist())
-    labels = tuple(label for label, f in zip(BASIS_LABELS, faithful) if f)
-    success = sum(prob for prob, f in zip(stack.probabilities[0].tolist(), faithful) if f)
-    repetitions = 1.0 / success if success > 0.0 else INFINITE
-    report = RegimeReport(regime_name(len(labels), "NoFaithful"), labels, float(success), repetitions)
-    return ProtocolBranches(_transfer_records(stack.matrices[0]), faithful, report)
+    return branch_stack([params.n], [params.ell], [params.p])
 
 
 def classify(params: ProtocolParams) -> RegimeReport:
     """Count faithful outcomes and total their state-independent probability."""
-    return protocol_branches(params).report
+    return protocol_branches(params).report(0)
 
 
 def success_probability_analytic(n, k: int = 2) -> float:
@@ -478,36 +472,22 @@ def _input_array(inputs) -> np.ndarray:
     return psi
 
 
-def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """mats (..., 2, 2) times vecs (..., 2), broadcast over the leading axes.
-
-    Written out as m[:, 0] v0 + m[:, 1] v1, the same two products and one
-    sum per entry as a single 2x2 matmul, so it gives the same values.
-    """
-    return mats[..., 0] * vecs[..., None, 0] + mats[..., 1] * vecs[..., None, 1]
-
-
-def _correction_or_identity(tm: TransferMatrix) -> np.ndarray:
-    try:
-        return correction_unitary(tm)
-    except SingularMatrix:
-        return np.eye(2, dtype=complex)
-
-
-def evaluate_inputs(branches: ProtocolBranches, inputs) -> InputBatch:
+def evaluate_inputs(stack: BranchStack, inputs) -> InputBatch:
     """Probabilities, corrected states and fidelities of a batch of inputs.
 
-    inputs is a (K, 2) array or a sequence of K (alpha, beta) pairs, each
-    finite and normalized. Branch k of input i conditions Bob's qubit on
-    M_k psi_i; the correction of a singular branch is the identity.
+    stack is the one-tuple stack of protocol_branches; inputs a (K, 2)
+    array or K (alpha, beta) pairs, each finite and normalized. Branch k
+    of input i conditions Bob's qubit on M_k psi_i.
     """
+    if len(stack.matrices) != 1:
+        raise BadInput(f"evaluate_inputs needs a stack of one parameter tuple, got {len(stack.matrices)}")
     psi = _input_array(inputs)
-    matrices = np.stack([tm.matrix for tm in branches.transfer])
-    corrections = np.stack([_correction_or_identity(tm) for tm in branches.transfer])
-    conditioned = _apply(matrices, psi[:, None, :])
+    matrices = stack.matrices[0]
+    corrections = _corrections(matrices)
+    conditioned = matvec(matrices, psi[:, None, :])
     probs = rowwise_vdot(conditioned, conditioned).real
-    kept = (probs >= TOL_PROB) | (np.array(branches.faithful) & (probs > 0.0))
-    bob = _apply(corrections, conditioned) / np.sqrt(np.where(kept, probs, 1.0))[..., None]
+    kept = (probs >= TOL_PROB) | (stack.faithful[0] & (probs > 0.0))
+    bob = matvec(corrections, conditioned) / np.sqrt(np.where(kept, probs, 1.0))[..., None]
     bob[~kept] = 0.0
     overlap = rowwise_vdot(bob, psi[:, None, :])
     # |overlap|^2 as qcore.fidelity takes it for one state: hypot, then a
@@ -526,9 +506,8 @@ def haar_inputs(count: int, rng) -> np.ndarray:
     parts, and is scaled to unit norm.
     """
     g = rng.normal(size=(count, 2, 2))
-    re, im = g[:, 0], g[:, 1]
-    vec = re + 1j * im
-    return vec / np.sqrt(rowwise_vdot(re, re) + rowwise_vdot(im, im))[:, None]
+    vec = g[:, 0] + 1j * g[:, 1]
+    return vec / rowwise_norm(vec)[:, None]
 
 
 def _cdf_chunks(probabilities, shots: int, rng):
@@ -541,8 +520,14 @@ def _cdf_chunks(probabilities, shots: int, rng):
     slice of each row starting at start mod K. Yields (draws, block) per
     chunk, block the (3, len(draws)) view of those slices. Drawing
     rng.random in chunks consumes the generator exactly as one call for
-    all shots would.
+    all shots would. shots must be an integer >= 0, else BadInput.
     """
+    try:
+        shots = operator.index(shots)
+    except TypeError:
+        raise BadInput(f"shots must be an integer, got {shots!r}") from None
+    if shots < 0:
+        raise BadInput(f"shots must be >= 0, got {shots}")
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.ndim != 2 or probabilities.shape[0] == 0 or probabilities.shape[1] != 4:
         raise BadInput(f"probabilities must be a nonempty (K, 4) array, got shape {probabilities.shape}")
@@ -602,19 +587,20 @@ def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int 
     result additionally carries empirical frequencies and the shot
     labels (exhaustive records are still included).
     """
-    branches = protocol_branches(params)
-    batch = evaluate_inputs(branches, [_parsed_input(input_amps)])
+    stack = protocol_branches(params)
+    batch = evaluate_inputs(stack, [_parsed_input(input_amps)])
+    report = stack.report(0)
     records = []
-    for k, tm in enumerate(branches.transfer):
+    for k, label in enumerate(BASIS_LABELS):
         prob = float(batch.probabilities[0, k])
+        faithful = label in report.faithful_outcomes
         correction = batch.corrections[k]
         fid = float(batch.fidelities[0, k])
         if math.isnan(fid):
-            records.append(OutcomeRecord(tm.label, prob, branches.faithful[k], correction, None, None))
+            records.append(OutcomeRecord(label, prob, faithful, correction, None, None))
             continue
         bob = PureState(("2",), batch.bob[0, k])
-        records.append(OutcomeRecord(tm.label, prob, branches.faithful[k], correction, bob, fid))
-    report = branches.report
+        records.append(OutcomeRecord(label, prob, faithful, correction, bob, fid))
     if shots is None:
         return RunResult(tuple(records), report)
     if shots < 1:

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polar_reference import reference_correction
 from teleportrix import qcore, teleport
 from teleportrix.cli import main
 from teleportrix.ebasis import BASIS_LABELS
-from teleportrix.errors import BadInput, SingularMatrix
+from teleportrix.errors import BadInput
 from teleportrix.qcore import PureState
 from teleportrix.tolerances import TOL_EQ, TOL_NORM, TOL_PROB
 
@@ -188,30 +189,27 @@ def test_batch_probabilities_match_projective_measurement():
     rng = np.random.default_rng(31)
     for case in range(12):
         params = _random_params(rng, case)
-        branches = teleport.protocol_branches(params)
+        stack = teleport.protocol_branches(params)
         inputs = teleport.haar_inputs(25, rng)
-        batch = teleport.evaluate_inputs(branches, inputs)
+        batch = teleport.evaluate_inputs(stack, inputs)
         assert batch.probabilities.shape == (25, 4)
         for i, inp in enumerate(inputs):
             measured = teleport.measured_probabilities(tuple(inp), params)
             for k, label in enumerate(BASIS_LABELS):
                 assert abs(batch.probabilities[i, k] - measured[label]) < TOL_NORM
-            for k, faithful in enumerate(branches.faithful):
+            for k, faithful in enumerate(stack.faithful[0].tolist()):
                 if faithful:
                     assert abs(batch.fidelities[i, k] - 1.0) < TOL_EQ
 
 
-def _reference_branch(tm, psi):
-    # the per-input arithmetic of the loop the kernel replaced
-    conditioned = tm.matrix @ psi
+def _reference_branch(matrix, psi):
+    # the per-input arithmetic of the loop the kernel replaced, with the
+    # one-matrix polar correction
+    conditioned = matrix @ psi
     prob = float(np.vdot(conditioned, conditioned).real)
     if prob < TOL_PROB:
         return prob, None
-    try:
-        correction = teleport.correction_unitary(tm)
-    except SingularMatrix:
-        correction = np.eye(2, dtype=complex)
-    bob = PureState(("2",), correction @ conditioned / math.sqrt(prob))
+    bob = PureState(("2",), reference_correction(matrix) @ conditioned / math.sqrt(prob))
     return prob, qcore.fidelity(bob, PureState(("2",), psi))
 
 
@@ -220,11 +218,11 @@ def test_batch_equals_per_input_loop_bit_for_bit():
     for case in range(12):
         params = _random_params(rng, case)
         inputs = teleport.haar_inputs(200, rng)
-        branches = teleport.protocol_branches(params)
-        batch = teleport.evaluate_inputs(branches, inputs)
+        stack = teleport.protocol_branches(params)
+        batch = teleport.evaluate_inputs(stack, inputs)
         for i, psi in enumerate(inputs):
-            for k, tm in enumerate(branches.transfer):
-                prob, fid = _reference_branch(tm, psi)
+            for k, matrix in enumerate(stack.matrices[0]):
+                prob, fid = _reference_branch(matrix, psi)
                 assert batch.probabilities[i, k] == prob
                 if fid is None:
                     assert np.isnan(batch.fidelities[i, k])
@@ -335,6 +333,15 @@ def test_counts_reject_negative_or_nan_rows(bad):
     probabilities = np.array([[0.25, 0.25, 0.25, 0.25], [0.5, bad, 0.3, 0.3]])
     with pytest.raises(BadInput):
         teleport.count_outcomes(probabilities, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("shots", [-5, 1.5, "3", None])
+def test_sampler_rejects_a_shot_count_that_is_not_a_nonnegative_integer(shots):
+    probabilities = np.full((2, 4), 0.25)
+    with pytest.raises(BadInput):
+        teleport.count_outcomes(probabilities, shots, np.random.default_rng(0))
+    with pytest.raises(BadInput):
+        next(teleport.sample_outcomes(probabilities, shots, np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("probabilities", [np.zeros((0, 4)), np.full((3, 3), 1 / 3), np.full(4, 0.25)])

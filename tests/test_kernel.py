@@ -22,6 +22,10 @@ class TestCompleteness:
         with pytest.raises(CompletenessError):
             teleport.check_completeness(scaled)
 
+    def test_empty_input_is_bad_input(self):
+        with pytest.raises(BadInput):
+            teleport.check_completeness([])
+
     def test_non_finite_stack_is_rejected(self):
         mats = np.stack([tm.matrix for tm in teleport.transfer_matrices(ProtocolParams(1, 1, 1))])
         mats[1, 0, 0] = np.nan
@@ -66,10 +70,10 @@ class TestInputBatch:
 
     def test_probabilities_sum_to_one_and_faithful_rows_agree(self):
         params = teleport.two_faithful_choice(0.4 + 0.3j, 1)
-        branches = teleport.protocol_branches(params)
-        batch = teleport.evaluate_inputs(branches, teleport.haar_inputs(64, np.random.default_rng(3)))
+        stack = teleport.protocol_branches(params)
+        batch = teleport.evaluate_inputs(stack, teleport.haar_inputs(64, np.random.default_rng(3)))
         assert np.allclose(batch.probabilities.sum(axis=1), 1.0, atol=1e-12)
-        faithful = np.array(branches.faithful)
+        faithful = stack.faithful[0]
         assert faithful.sum() == 2
         col = batch.probabilities[:, faithful]
         assert np.allclose(col, teleport.success_probability_analytic(params.n, k=1), atol=1e-12)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from teleportrix import measure, qcore
+from teleportrix import measure, qcore, teleport
 from teleportrix.ebasis import BASIS_LABELS, BasisParams, general_basis, resource_state
 from teleportrix.errors import BadPair
 from teleportrix.qcore import make_state, states_close, tensor
@@ -129,6 +129,40 @@ class TestSample:
         bound = 3.0 * math.sqrt(0.25 * 0.75 / shots)
         for label in BASIS_LABELS:
             assert abs(counts[label] / shots - 0.25) <= bound
+
+    def test_draws_the_outcome_of_the_shot_sampler(self):
+        # the same inverse-CDF rule as teleport.sample_outcomes for one
+        # shot from the same seed, also where outcomes have probability 0
+        rng = np.random.default_rng(12)
+        states = [classic_setup(0.6, 0.8, n=0.4 - 0.2j),
+                  tensor(qcore.basis_state(("a", "b"), "01"), make_state(("c",), (0.6, 0.8j))),
+                  tensor(qcore.basis_state(("a", "b"), "00"), make_state(("c",), (1, 0)))]
+        for state in states:
+            pair = ("a", "1") if "1" in state.qubits else ("a", "b")
+            basis = general_basis(BasisParams(*(complex(*rng.uniform(-2, 2, size=2)) for _ in range(2))))
+            probs = np.array([[o.probability for o in measure.project_all(state, pair, basis)]])
+            for seed in range(300):
+                want = next(teleport.sample_outcomes(probs, 1, np.random.default_rng(seed)))[0]
+                assert measure.sample(state, pair, basis, seed).label == BASIS_LABELS[want]
+
+    def test_draw_on_a_cdf_step_goes_to_the_later_outcome(self, monkeypatch):
+        # 0.6|00> + 0.8|01> in the computational basis: probabilities
+        # (0.36, 0, 0.64, 0); a draw equal to the first cumulative sum
+        # passes the zero outcome and lands on PsiPlus, as in the sampler
+        state = tensor(make_state(("a", "b"), (0.6, 0.8, 0, 0)), qcore.basis_state(("c",), "0"))
+        basis = general_basis(BasisParams(0, 0))
+        probs = [o.probability for o in measure.project_all(state, ("a", "b"), basis)]
+
+        class OnTheStep:
+            def __init__(self, seed):
+                pass
+
+            def random(self, size=None):
+                return probs[0] if size is None else np.full(size, probs[0])
+
+        assert next(teleport.sample_outcomes(np.array([probs]), 1, OnTheStep(0))).tolist() == [2]
+        monkeypatch.setattr(np.random, "default_rng", OnTheStep)
+        assert measure.sample(state, ("a", "b"), basis, 0).label == "PsiPlus"
 
     def test_equals_the_drawn_outcome_of_project_all(self):
         # sample builds only the drawn outcome's residual; it must be the

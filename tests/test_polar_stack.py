@@ -1,0 +1,128 @@
+"""The stacked closed-form SVD and polar corrections against the one-matrix
+recipe they replaced: bit-for-bit u, s, v and corrections, whatever the
+stack."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polar_reference import reference_correction, reference_svd2
+from teleportrix import qcore, teleport
+from teleportrix.errors import BadInput, SingularMatrix
+from teleportrix.qcore import PAULI_I, make_state
+from teleportrix.teleport import ProtocolParams, TransferMatrix
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.int64)
+
+
+def assert_matches_reference(mats):
+    """Every matrix of an (N, 2, 2) stack against the one-matrix recipe, bit for bit."""
+    u, s, v = qcore._svd2(mats)
+    corrections = teleport._corrections(mats)
+    for i, m in enumerate(mats):
+        # the bare recipe divides 0 by 0 on some matrices below its floors
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ru, rs, rv = reference_svd2(m)
+            correction = reference_correction(m)
+        assert np.array_equal(_bits(u[i]), _bits(ru))
+        assert np.array_equal(s[i].view(np.int64), np.array(rs).view(np.int64))
+        assert np.array_equal(_bits(v[i]), _bits(rv))
+        assert np.array_equal(_bits(corrections[i]), _bits(correction))
+
+
+def _gaussian(rng, count, scale=1.0):
+    return scale * (rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)))
+
+
+def test_generic_complex_matrices():
+    assert_matches_reference(_gaussian(np.random.default_rng(51), 500))
+
+
+def test_degenerate_matrices():
+    rank_one = np.array([np.outer([1, 2j], [3, 1 - 1j]), np.outer([0, 1], [1, 0]), np.outer([0.6, 0.8j], [1j, 0])])
+    multiples = np.array([c * PAULI_I for c in (0.3, 1.0, -2.5j, 1e-8 + 1e-8j, 1e50)])
+    assert_matches_reference(np.concatenate([rank_one, multiples, np.zeros((2, 2, 2), dtype=complex)]))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-13, 1e-14, 1e-20, 1e-150])
+def test_entries_below_the_floors(scale):
+    rng = np.random.default_rng(52)
+    mats = np.concatenate([_gaussian(rng, 50, scale), [scale * np.array([[0, 1j], [1, 0]]), scale * PAULI_I]])
+    assert_matches_reference(mats)
+
+
+def test_transfer_matrices_at_log_uniform_resource():
+    rng = np.random.default_rng(53)
+    n = 10 ** rng.uniform(-7, 7, size=60) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=60))
+    generic = rng.normal(size=(2, 60)) + 1j * rng.normal(size=(2, 60))
+    stacks = [teleport.two_faithful_stack(n, index) for index in range(4)]
+    stacks += [teleport.one_faithful_stack(n, index) for index in range(4)]
+    stacks += [teleport.branch_stack(n, *generic), teleport.branch_stack(n, generic[0], 1 / n)]
+    assert_matches_reference(np.concatenate([stack.matrices.reshape(-1, 2, 2) for stack in stacks]))
+
+
+def test_rows_of_a_stack_equal_the_batch_of_one():
+    rng = np.random.default_rng(54)
+    g = 40
+    stack = teleport.branch_stack(rng.normal(size=g) + 1j * rng.normal(size=g), rng.normal(size=g),
+                                  rng.normal(size=g) * 1j)
+    u, s, v = qcore._svd2(stack.matrices)
+    corrections = teleport._corrections(stack.matrices)
+    assert corrections.shape == (g, 4, 2, 2)
+    for row in range(g):
+        one = qcore._svd2(stack.matrices[row])
+        for whole, single in zip((u, s, v), one):
+            assert np.array_equal(whole[row].view(np.int64), single.view(np.int64))
+        assert np.array_equal(_bits(corrections[row]), _bits(teleport._corrections(stack.matrices[row])))
+        for k in range(4):
+            # a bare 2x2 matrix is a stack with no leading axes
+            bare = qcore._svd2(stack.matrices[row, k])
+            for whole, single in zip((u, s, v), bare):
+                assert np.array_equal(whole[row, k].view(np.int64), single.view(np.int64))
+            tm = TransferMatrix("x", stack.matrices[row, k])
+            assert np.array_equal(_bits(corrections[row, k]), _bits(teleport.correction_unitary(tm)))
+
+
+def test_schmidt_is_the_reference_decomposition():
+    rng = np.random.default_rng(55)
+    for trial in range(50):
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        if trial % 5 == 0:
+            amps = np.kron(amps[:2], amps[2:])
+        state = make_state(("a", "b"), amps)
+        form = qcore.schmidt(state)
+        u, sv, v = reference_svd2(state.amps.reshape(2, 2))
+        assert form.coeffs == sv
+        assert np.array_equal(_bits(form.basis_a), _bits(u))
+        assert np.array_equal(_bits(form.basis_b), _bits(v.conj()))
+
+
+def test_zero_matrix_correction():
+    assert np.array_equal(teleport._corrections(np.zeros((1, 2, 2))), [PAULI_I])
+    with pytest.raises(SingularMatrix):
+        teleport.correction_unitary(TransferMatrix("x", np.zeros((2, 2))))
+
+
+def test_evaluate_inputs_needs_a_stack_of_one_tuple():
+    stack = teleport.two_faithful_stack(np.array([0.5, 2.0]), 0)
+    with pytest.raises(BadInput):
+        teleport.evaluate_inputs(stack, [(1, 0)])
+    one = teleport.protocol_branches(ProtocolParams(0.5, 0.5, 0.5))
+    assert teleport.evaluate_inputs(one, [(1, 0)]).probabilities.shape == (1, 4)
+
+
+_PARTS = st.tuples(st.floats(-1.0, 1.0), st.integers(-40, 40))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_PARTS, min_size=8, max_size=8), st.integers(0, 3))
+def test_property_matches_reference_at_any_scale(parts, zeros):
+    # mantissa in [-1, 1] times 10^e per real and imaginary part, the
+    # first `zeros` entries cleared
+    values = np.array([m * 10.0 ** e for m, e in parts])
+    mat = (values[:4] + 1j * values[4:]).reshape(1, 2, 2)
+    mat.reshape(-1)[:zeros] = 0.0
+    assert_matches_reference(mat)

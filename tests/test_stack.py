@@ -27,9 +27,10 @@ class TestBranchStack:
         stack = teleport.branch_stack(*zip(*[(q.n, q.ell, q.p) for q in params]))
         assert stack.matrices.shape == (5, 4, 2, 2)
         for g, q in enumerate(params):
-            branches = teleport.protocol_branches(q)
-            assert tuple(stack.faithful[g].tolist()) == branches.faithful
-            for k, tm in enumerate(branches.transfer):
+            one = teleport.protocol_branches(q)
+            assert stack.faithful[g].tolist() == one.faithful[0].tolist()
+            for k, tm in enumerate(teleport.transfer_matrices(q)):
+                assert np.array_equal(one.matrices[0, k], tm.matrix)
                 assert np.array_equal(stack.matrices[g, k], tm.matrix)
                 assert stack.probabilities[g, k] == teleport.branch_probability(tm)
 

@@ -302,3 +302,7 @@ class TestRun:
             run((float("nan"), 0), ProtocolParams(1, 1, 1))
         with pytest.raises(BadInput):
             run((1, 0), ProtocolParams(1, 1, 1), shots=0, seed=1)
+
+    def test_fractional_shot_count_is_bad_input(self):
+        with pytest.raises(BadInput):
+            run((1, 0), ProtocolParams(1, 1, 1), shots=1.5, seed=1)
