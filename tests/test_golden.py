@@ -24,6 +24,11 @@ from teleportrix.errors import BadInput
 from teleportrix.qcore import PureState
 from teleportrix.tolerances import TOL_EQ, TOL_NORM, TOL_PROB
 
+_K2 = ["--n", "0.25-0.1i", "--l", "3.448275862069-1.379310344828i",
+       "--p", "3.448275862069+1.379310344828i"]
+_NO_FAITHFUL = ["--n", "2", "--l", "0.7+0.1i", "--p", "1.3"]
+_DEAD_OUTCOMES = ["--m", "0", "--n", "2", "--l", "0", "--p", "2", "--l-prime", "0.5", "--p-prime", "0.5"]
+
 GOLDEN = [
     # two faithful outcomes, few inputs
     (["teleport", "--n", "0.5", "--l", "0.5", "--p", "0.5", "--mode", "sampled",
@@ -63,6 +68,28 @@ GOLDEN = [
     (["swap", "--m", "0.3+0.2i", "--n", "1.7", "--l", "0.4", "--p", "1.1-0.3i", "--l-prime", "2",
       "--p-prime", "0.9i", "--output", "csv"],
      "663d2a3806d7dfbac0c54b754e707600a7f01318e10538634d2b045ffe1c30b2"),
+    # recorded from the two-emitter CLI (json.dumps(indent=2) for JSON,
+    # per-cell formatting for CSV) that the one report writer replaced
+    (["classify", *_K2, "--precision", "17"],
+     "c8c8b4cbdbbbf992c6bf6b476ea66c20a68fc46f43a1576059c51e7cea33a1ff"),
+    (["classify", *_K2, "--precision", "17", "--output", "csv"],
+     "d9d64b27f3908fd4792cc9e8d7e04aeb679dd2134d9e2726566a0fb4b4b0c8d5"),
+    (["classify", "--n", "0.5", "--l", "0.5", "--p", "2"],
+     "ce6fa8ecbf190210649d341cbb978f142a486bbd3bfb4b4fecdeb6bb00bd6e09"),
+    # NoFaithful: an empty outcome list and Infinite repetitions
+    (["classify", *_NO_FAITHFUL],
+     "d2d03d039bcf05600190e006bb643f4697abaa0062e0a2341cf209aa94d1fa21"),
+    (["classify", *_NO_FAITHFUL, "--output", "csv"],
+     "8deedb1405fb0bdb520d84eaf189e81c4349b201e54d01fbe497c7cc8f94b381"),
+    # exhaustive fixed input as CSV: empty empirical_frequency cells
+    (["teleport", "--n", "0.3+0.4i", "--l", "0.3+0.4i", "--p", "3", "--alpha", "0.6",
+      "--beta", "0.8i", "--output", "csv", "--precision", "17"],
+     "35594627450808ea90af938308d8ef8f3d6c527b8c8c47b18b3d8392231efe5f"),
+    # two outcomes below TOL_PROB: null entropy and target
+    (["swap", *_DEAD_OUTCOMES],
+     "8ab59cb2f9edef365cceffe0372a589a9b79d7755098e7cfa40d54089e53f5f7"),
+    (["swap", *_DEAD_OUTCOMES, "--output", "csv"],
+     "e3d42080db8b5b773fbfba873f40ca35d312f762f915df5470e57db208fb39ff"),
 ]
 
 
