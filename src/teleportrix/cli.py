@@ -24,6 +24,7 @@ from .errors import ParseError, TeleportrixError
 
 SEED_ENV = "TELEPORTRIX_SEED"
 _PROBABILISTIC_REGIMES = ("probabilistic2", "probabilistic1")
+_SWAP_PARAMS = ("m", "n", "l", "p", "l-prime", "p-prime")
 
 # Request size limits. Sampling memory is O(teleport.SAMPLE_CHUNK + K)
 # for K inputs whatever the shot count, so MAX_SHOTS bounds run time
@@ -59,12 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(t)
 
     s = sub.add_parser("swap", help="run entanglement swapping")
-    s.add_argument("--m", required=True)
-    s.add_argument("--n", required=True)
-    s.add_argument("--l", required=True)
-    s.add_argument("--p", required=True)
-    s.add_argument("--l-prime", required=True)
-    s.add_argument("--p-prime", required=True)
+    for name in _SWAP_PARAMS:
+        s.add_argument(f"--{name}", required=True)
     _add_common(s)
 
     c = sub.add_parser("classify", help="classify a teleportation parameter tuple")
@@ -128,13 +125,8 @@ def _dispatch(args) -> str:
     """The report of a command, in the requested output format."""
     if not 6 <= args.precision <= 17:
         raise ParseError(f"precision must be in [6, 17], got {args.precision}")
-    if args.command == "teleport":
-        return _cmd_teleport(args)
-    if args.command == "swap":
-        return _cmd_swap(args)
-    if args.command == "classify":
-        return _cmd_classify(args)
-    return _cmd_sweep(args)
+    commands = {"teleport": _cmd_teleport, "swap": _cmd_swap, "classify": _cmd_classify, "sweep": _cmd_sweep}
+    return commands[args.command](args)
 
 
 def _resolve_seed(args) -> int:
@@ -149,50 +141,58 @@ def _resolve_seed(args) -> int:
         raise ParseError(f"{SEED_ENV} must be an integer, got {env!r}") from None
 
 
-def _rounded(value, digits):
-    if isinstance(value, dict):
-        return {k: _rounded(v, digits) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_rounded(v, digits) for v in value]
+def _cells(values, digits, csv: bool) -> list:
+    """Report values as text: a finite float is its rounded repr (inline:
+    the sweep has tens of thousands), the rest as _text."""
+    return [repr(round(v, digits)) if isinstance(v, float) and not math.isinf(v) else _text(v, csv)
+            for v in values]
+
+
+def _text(value, csv: bool) -> str:
+    """inf as Infinite; in CSV None as empty, a list ';'-joined and a string
+    as itself; any other value as its JSON text (so a bool is true/false)."""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "Infinite"
-        return round(value, digits)
-    return value
-
-
-def _csv(lines) -> str:
-    return "\n".join(lines) + "\n"
-
-
-def _fmt(value, digits) -> str:
-    """One CSV cell; a list is one cell of ';'-joined items."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "Infinite"
-        return str(round(value, digits))
-    if isinstance(value, list):
+        value = "Infinite"
+    if csv and isinstance(value, str):
+        return value
+    if csv and isinstance(value, list):
         return ";".join(value)
-    return str(value)
+    return "" if csv and value is None else json.dumps(value)
 
 
-def _emit(args, report: dict, table: list) -> str:
-    """A small report as indented JSON, or its table as CSV.
-
-    table holds the CSV rows, each a tuple of (column name, value) pairs
-    in column order; the header is the names of the first row. The
-    commands build the JSON rows of the report from the same tuples.
-    """
+def _emit(args, report: dict, table: dict, key=None) -> str:
+    """The report as JSON, or as CSV its table: column name -> one value per row."""
     digits = args.precision
-    if args.output == "json":
-        return json.dumps(_rounded(report, digits), indent=2) + "\n"
-    lines = [",".join([name for name, _ in table[0]])]
-    lines.extend(",".join([_fmt(value, digits) for _, value in row]) for row in table)
-    return _csv(lines)
+    if args.output == "csv":
+        cells = [_cells(column, digits, True) for column in table.values()]
+        return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
+    return "".join(_json([], report, digits, "\n", key) + ["\n"])
+
+
+def _json(chunks: list, value, digits, pad, key=None) -> list:
+    """Append value to chunks as json.dumps(value, indent=2) lays it out
+    from indent pad, and return chunks: scalars and empty lists or dicts by
+    _cells, the columns at value[key] as the list of their rows from one row
+    template. One final join copies the text once (a sweep is megabytes)."""
+    inner = pad + "  "
+    if isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            chunks.append(("," if i else "[") + inner)
+            _json(chunks, item, digits, inner)
+        chunks.append(pad + "]")
+    elif isinstance(value, dict) and value:
+        for i, (name, item) in enumerate(value.items()):
+            chunks.append(("," if i else "{") + inner + json.dumps(name) + ": ")
+            if name != key:
+                _json(chunks, item, digits, inner)
+                continue
+            row = "{{" + ",".join(f"{inner}    {json.dumps(column)}: {{}}" for column in item) + inner + "  }}"
+            cells = [_cells(column, digits, False) for column in item.values()]
+            chunks += ["[", inner + "  ", ("," + inner + "  ").join(map(row.format, *cells)), inner + "]"]
+        chunks.append(pad + "}")
+    else:
+        chunks += _cells([value], digits, False)
+    return chunks
 
 
 def _analytic_block(n: complex) -> dict:
@@ -234,16 +234,14 @@ def _cmd_teleport(args):
     stack = teleport.protocol_branches(params)
     batch = teleport.evaluate_inputs(stack, inputs)
     regime = stack.report(0)
-    outcomes = []
-    for idx, label in enumerate(BASIS_LABELS):
-        fids = batch.fidelities[:, idx]
-        fids = fids[~np.isnan(fids)]
-        outcomes.append((
-            ("label", label),
-            ("probability", float(np.mean(batch.probabilities[:, idx]))),
-            ("faithful", label in regime.faithful_outcomes),
-            ("fidelity", float(np.mean(fids)) if fids.size else None),
-        ))
+    # one np.mean per column: a mean over axis 0 sums in another order
+    fidelities = [fids[~np.isnan(fids)] for fids in batch.fidelities.T]
+    outcomes = {
+        "label": list(BASIS_LABELS),
+        "probability": [float(np.mean(column)) for column in batch.probabilities.T],
+        "faithful": [label in regime.faithful_outcomes for label in BASIS_LABELS],
+        "fidelity": [float(np.mean(fids)) if fids.size else None for fids in fidelities],
+    }
 
     empirical = None
     if sampled:
@@ -257,13 +255,12 @@ def _cmd_teleport(args):
         "mode": args.mode,
         "seed": seed,
         "regime": regime.regime,
-        "outcomes": [dict(row) for row in outcomes],
+        "outcomes": outcomes,
         "analytic": _analytic_block(params.n),
         "empirical": empirical,
     }
-    table = [row + (("empirical_frequency", frequencies.get(label)),)
-             for row, label in zip(outcomes, BASIS_LABELS)]
-    return _emit(args, report, table)
+    table = {**outcomes, "empirical_frequency": [frequencies.get(label) for label in BASIS_LABELS]}
+    return _emit(args, report, table, "outcomes")
 
 
 def _sample_outcomes(probabilities, shots, rng, report):
@@ -292,23 +289,23 @@ def _param_block(values: dict, digits: int) -> dict:
 
 
 def _cmd_swap(args):
-    values = _parse_params(args, ("m", "n", "l", "p", "l-prime", "p-prime"))
+    values = _parse_params(args, _SWAP_PARAMS)
     params = swap_mod.SwapParams(*values.values())
     outcomes = swap_mod.swap_run(params)
     regime = swap_mod.classify_swap_outcomes(params, outcomes)
-    table = [(
-        ("label", o.label),
-        ("probability", o.probability),
-        ("reliable", o.reliable),
-        ("entropy", o.b2_entropy),
-        ("target", o.target),
-    ) for o in outcomes]
+    table = {
+        "label": [o.label for o in outcomes],
+        "probability": [o.probability for o in outcomes],
+        "reliable": [o.reliable for o in outcomes],
+        "entropy": [o.b2_entropy for o in outcomes],
+        "target": [o.target for o in outcomes],
+    }
     report = {
         "command": "swap",
         "params": _param_block(values, args.precision),
         "seed": None,
         "regime": regime.regime,
-        "outcomes": [dict(row) for row in table],
+        "outcomes": table,
         "analytic": {
             "success_probability": regime.success_probability,
             "two_outcome_probability": swap_mod.two_outcome_swap_probability(params.m, params.n),
@@ -318,27 +315,27 @@ def _cmd_swap(args):
         },
         "empirical": None,
     }
-    return _emit(args, report, table)
+    return _emit(args, report, table, "outcomes")
 
 
 def _cmd_classify(args):
     values = _parse_params(args, ("n", "l", "p"))
     params = teleport.ProtocolParams(*values.values())
     regime = teleport.classify(params)
-    row = (
-        ("regime", regime.regime),
-        ("faithful_outcomes", list(regime.faithful_outcomes)),
-        ("success_probability", regime.success_probability),
-        ("expected_repetitions", regime.expected_repetitions),
-    )
+    row = {
+        "regime": regime.regime,
+        "faithful_outcomes": list(regime.faithful_outcomes),
+        "success_probability": regime.success_probability,
+        "expected_repetitions": regime.expected_repetitions,
+    }
     report = {
         "command": "classify",
         "params": _param_block(values, args.precision),
         "seed": None,
-        **dict(row),
+        **row,
         "analytic": _analytic_block(params.n),
     }
-    return _emit(args, report, [row])
+    return _emit(args, report, {name: [value] for name, value in row.items()})
 
 
 def _parse_grid(text: str) -> list:
@@ -360,11 +357,6 @@ def _parse_grid(text: str) -> list:
     return [start + i * step for i in range(count)]
 
 
-_SWEEP_COLUMNS = ("n", "success_probability", "repetitions", "inverse_success")
-# One element of the sweep's "rows" list as json.dumps(report, indent=2) lays it out.
-_SWEEP_ROW = "    {{\n" + ",\n".join(f"      {json.dumps(name)}: {{}}" for name in _SWEEP_COLUMNS) + "\n    }}"
-
-
 def _cmd_sweep(args):
     grid = _parse_grid(args.n_grid)
     # Success is the brute-force probability of the outcomes the chosen
@@ -378,26 +370,19 @@ def _cmd_sweep(args):
         stack = teleport.one_faithful_stack(grid, 1)
         designated = (teleport.one_faithful_labels(1),)
     success = stack.success(designated).tolist()
-    columns = (grid, success, _repetitions(grid), [1.0 / s if s > 0.0 else math.inf for s in success])
-    # Every value is a float, so a cell is the text json.dumps and _fmt
-    # give a rounded float: its repr, or "Infinite" for inf.
-    digits = args.precision
-    if args.output == "csv":
-        cells = [_float_cells(column, digits, "Infinite") for column in columns]
-        return _csv([",".join(_SWEEP_COLUMNS), *map(",".join, zip(*cells))])
-    cells = [_float_cells(column, digits, '"Infinite"') for column in columns]
-    head = json.dumps({
+    table = {
+        "n": grid,
+        "success_probability": success,
+        "repetitions": _repetitions(grid),
+        "inverse_success": [1.0 / s if s > 0.0 else math.inf for s in success],
+    }
+    report = {
         "command": "sweep",
         "params": {"n_grid": args.n_grid, "regime": args.regime},
         "seed": None,
-    }, indent=2)
-    # the grid is never empty, so "rows" always opens a list of objects
-    rows = ",\n".join(map(_SWEEP_ROW.format, *cells))
-    return f'{head[:-2]},\n  "rows": [\n{rows}\n  ]\n}}\n'
-
-
-def _float_cells(values, digits, infinite) -> list:
-    return [infinite if math.isinf(v) else repr(round(v, digits)) for v in values]
+        "rows": table,
+    }
+    return _emit(args, report, table, "rows")
 
 
 def _repetitions(grid) -> list:

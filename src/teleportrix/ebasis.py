@@ -20,7 +20,6 @@ the text format of complexfmt.parse_complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -85,20 +84,19 @@ def basis_stack(ell, p) -> np.ndarray:
     return vecs
 
 
-def general_basis(params: BasisParams, labels: Sequence = ("0", "1")) -> EntangledBasis:
-    """Construct the basis for given (l, p) on a named qubit pair."""
+def general_basis(params: BasisParams) -> EntangledBasis:
+    """Construct the basis for given (l, p); its vectors are on qubits ("0", "1")."""
     if not isinstance(params, BasisParams):
         params = BasisParams(*params)
     rows = basis_stack([params.ell], [params.p])[0]
-    labels_t = tuple(labels)
-    return EntangledBasis(params, {k: PureState(labels_t, v) for k, v in zip(BASIS_LABELS, rows)})
+    return EntangledBasis(params, {k: PureState(("0", "1"), v) for k, v in zip(BASIS_LABELS, rows)})
 
 
-def resource_state(n, labels: Sequence = ("1", "2")) -> PureState:
-    """Shared resource N (|00> + n |11>) with N = 1/sqrt(1 + |n|^2)."""
+def resource_state(n) -> PureState:
+    """Shared resource N (|00> + n |11>) on qubits ("1", "2"), N = 1/sqrt(1 + |n|^2)."""
     n = finite_complex(n, "n")
     w = weight(n, "n")
-    return PureState(tuple(labels), np.array([w, 0, 0, w * n]))
+    return PureState(("1", "2"), np.array([w, 0, 0, w * n]))
 
 
 def basis_entropy(c) -> float:

@@ -324,7 +324,11 @@ def _corrections(mats) -> np.ndarray:
     # _svd2 has absolute floors near 1e-12. The polar factor of M is
     # that of M / scale, so a tiny M is rescaled first; from an entry of
     # 1e-12 up, the largest singular value clears the floors as it is.
-    u, _, v = _svd2(np.where(scale >= 1e-12, mats, mats / np.where(scale > 0.0, scale, 1.0)))
+    # The Gram squares the entries and its determinant squares them
+    # again, which overflows from about 1e77, so a large M is rescaled
+    # too; up to 1e64 the recipe stays finite and keeps its bits.
+    as_is = (scale >= 1e-12) & (scale <= 1e64)
+    u, _, v = _svd2(np.where(as_is, mats, mats / np.where(scale > 0.0, scale, 1.0)))
     return np.where(scale > 0.0, np.matmul(v, u.conj().swapaxes(-1, -2)), _EYE)
 
 
@@ -382,7 +386,7 @@ def repetition_counts(n) -> dict:
 def two_faithful_choice(n, index: int) -> ProtocolParams:
     """One of the four basis choices leaving exactly two faithful outcomes."""
     n = finite_complex(n, "n")
-    make, _ = _TWO_FAITHFUL[index]
+    make, _ = _choice(_TWO_FAITHFUL, index)
     if index != 0 and n == 0:
         raise NonFinite("choice needs a nonzero resource parameter")
     l, p = make(n)
@@ -397,7 +401,7 @@ def two_faithful_stack(n, index: int) -> BranchStack:
     in the last bit when n is not real.
     """
     n = np.asarray(n, dtype=complex)
-    make, _ = _TWO_FAITHFUL[index]
+    make, _ = _choice(_TWO_FAITHFUL, index)
     if index != 0 and not np.all(n):
         raise NonFinite("choice needs a nonzero resource parameter")
     return branch_stack(n, *make(n))
@@ -405,15 +409,21 @@ def two_faithful_stack(n, index: int) -> BranchStack:
 
 def two_faithful_labels(index: int) -> tuple:
     """The outcome pair that choice `index` makes faithful."""
-    return _TWO_FAITHFUL[index][1]
+    return _choice(_TWO_FAITHFUL, index)[1]
+
+
+def _choice(table: tuple, index: int) -> tuple:
+    """Entry `index` of _TWO_FAITHFUL or _ONE_FAITHFUL; BadInput unless an integer 0..3."""
+    if index not in range(4) or not isinstance(index, (int, np.integer)):
+        raise BadInput(f"index must be 0..3, got {index!r}")
+    return table[index]
 
 
 def _one_faithful_rule(index: int, has_zero: bool):
-    if index not in range(4):
-        raise BadInput(f"index must be 0..3, got {index!r}")
+    rule, _ = _choice(_ONE_FAITHFUL, index)
     if index in (0, 3) and has_zero:
         raise NonFinite("choice needs a nonzero resource parameter")
-    return _ONE_FAITHFUL[index][0]
+    return rule
 
 
 def one_faithful_choice(n, index: int) -> ProtocolParams:
@@ -442,7 +452,7 @@ def one_faithful_stack(n, index: int) -> BranchStack:
 
 def one_faithful_labels(index: int) -> str:
     """The single outcome that one_faithful_choice(index) makes faithful."""
-    return _ONE_FAITHFUL[index][1]
+    return _choice(_ONE_FAITHFUL, index)[1]
 
 
 def joint_state(input_amps, n) -> PureState:
@@ -510,6 +520,17 @@ def haar_inputs(count: int, rng) -> np.ndarray:
     return vec / rowwise_norm(vec)[:, None]
 
 
+def _shot_count(shots, least: int) -> int:
+    """shots as an int, BadInput unless it is an integer >= least."""
+    try:
+        shots = operator.index(shots)
+    except TypeError:
+        raise BadInput(f"shots must be an integer, got {shots!r}") from None
+    if shots < least:
+        raise BadInput(f"shots must be >= {least}, got {shots}")
+    return shots
+
+
 def _cdf_chunks(probabilities, shots: int, rng):
     """Draws of `shots` shots in chunks of SAMPLE_CHUNK, with their CDF entries.
 
@@ -522,12 +543,7 @@ def _cdf_chunks(probabilities, shots: int, rng):
     rng.random in chunks consumes the generator exactly as one call for
     all shots would. shots must be an integer >= 0, else BadInput.
     """
-    try:
-        shots = operator.index(shots)
-    except TypeError:
-        raise BadInput(f"shots must be an integer, got {shots!r}") from None
-    if shots < 0:
-        raise BadInput(f"shots must be >= 0, got {shots}")
+    shots = _shot_count(shots, 0)
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.ndim != 2 or probabilities.shape[0] == 0 or probabilities.shape[1] != 4:
         raise BadInput(f"probabilities must be a nonempty (K, 4) array, got shape {probabilities.shape}")
@@ -603,8 +619,7 @@ def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int 
         records.append(OutcomeRecord(label, prob, faithful, correction, bob, fid))
     if shots is None:
         return RunResult(tuple(records), report)
-    if shots < 1:
-        raise BadInput(f"shots must be >= 1, got {shots!r}")
+    shots = _shot_count(shots, 1)
     if seed is None:
         seed = 0
     rng = np.random.default_rng(seed)

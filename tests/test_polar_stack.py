@@ -100,6 +100,27 @@ def test_schmidt_is_the_reference_decomposition():
         assert np.array_equal(_bits(form.basis_b), _bits(v.conj()))
 
 
+@pytest.mark.parametrize("scale", [1e70, 1e160, 1e300, 2.0**600])
+def test_large_matrices_are_rescaled(scale):
+    # the Gram of an entry above about 1e77 overflows; the polar factor
+    # of M is that of M / max|M|, and with the largest entry of modulus 1
+    # that division undoes a power-of-two scale exactly
+    rng = np.random.default_rng(56)
+    mats = _gaussian(rng, 40)
+    mats /= 2.0 * np.abs(mats).max(axis=(1, 2))[:, None, None]
+    mats[:, 0, 0] = np.tile([1.0, -1.0, 1j, -1j], 10)
+    corrections = teleport._corrections(scale * mats)
+    assert np.all(np.isfinite(corrections))
+    eye = np.broadcast_to(PAULI_I, corrections.shape)
+    np.testing.assert_allclose(corrections @ corrections.conj().swapaxes(-1, -2), eye, atol=1e-14)
+    unscaled = teleport._corrections(mats)
+    if scale == 2.0**600:
+        assert np.array_equal(_bits(corrections), _bits(unscaled))
+    np.testing.assert_allclose(corrections, unscaled, rtol=0, atol=1e-14)
+    tm = TransferMatrix("x", scale * mats[0])
+    assert np.array_equal(_bits(teleport.correction_unitary(tm)), _bits(corrections[0]))
+
+
 def test_zero_matrix_correction():
     assert np.array_equal(teleport._corrections(np.zeros((1, 2, 2))), [PAULI_I])
     with pytest.raises(SingularMatrix):

@@ -66,6 +66,19 @@ class TestBranchStack:
             teleport.one_faithful_stack([0.5], 4)
         assert teleport.one_faithful_stack([0.0], 1).success(("PhiMinus",)).tolist() == [0.0]
 
+    @pytest.mark.parametrize("index", [-1, 4, 1.0])
+    def test_choice_index_outside_0_to_3_is_bad_input(self, index):
+        # -1 used to pick choice 3, 4 to raise IndexError and 1.0 TypeError
+        for choose in (teleport.two_faithful_choice, teleport.one_faithful_choice):
+            with pytest.raises(BadInput):
+                choose(0.5, index)
+        for stack in (teleport.two_faithful_stack, teleport.one_faithful_stack):
+            with pytest.raises(BadInput):
+                stack([0.5], index)
+        for labels in (teleport.two_faithful_labels, teleport.one_faithful_labels):
+            with pytest.raises(BadInput):
+                labels(index)
+
 
 class TestScaleInvariantFaithfulness:
     @pytest.mark.parametrize("n", [1e-7, 1e7])

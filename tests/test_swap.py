@@ -106,14 +106,11 @@ class TestSwapRun:
         rng = np.random.default_rng(4)
         for _ in range(100):
             params = two_outcome_choice(random_complex(rng), random_complex(rng))
-            primed = general_basis(
-                BasisParams(params.ell_prime, params.p_prime), labels=("b", "2")
-            )
+            primed = general_basis(BasisParams(params.ell_prime, params.p_prime))
             for o in swap_run(params):
                 if o.reliable:
-                    assert qcore.fidelity(o.b2_state, primed.vectors[o.target]) == pytest.approx(
-                        1.0, abs=1e-9
-                    )
+                    target = qcore.PureState(("b", "2"), primed.vectors[o.target].amps)
+                    assert qcore.fidelity(o.b2_state, target) == pytest.approx(1.0, abs=1e-9)
 
     def test_probability_conservation_random(self):
         rng = np.random.default_rng(6)

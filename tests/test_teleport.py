@@ -306,3 +306,8 @@ class TestRun:
     def test_fractional_shot_count_is_bad_input(self):
         with pytest.raises(BadInput):
             run((1, 0), ProtocolParams(1, 1, 1), shots=1.5, seed=1)
+
+    def test_shot_count_of_another_type_is_bad_input(self):
+        # checked before run compares it with 1: a str used to raise TypeError
+        with pytest.raises(BadInput):
+            run((1, 0), ProtocolParams(1, 1, 1), shots="3", seed=1)
