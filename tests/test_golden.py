@@ -90,6 +90,13 @@ GOLDEN = [
      "8ab59cb2f9edef365cceffe0372a589a9b79d7755098e7cfa40d54089e53f5f7"),
     (["swap", *_DEAD_OUTCOMES, "--output", "csv"],
      "e3d42080db8b5b773fbfba873f40ca35d312f762f915df5470e57db208fb39ff"),
+    # 6 digits: the outcome columns through the one-pass column format
+    (["teleport", "--n", "0.5", "--l", "0.5", "--p", "0.5", "--mode", "sampled",
+      "--random-input", "7", "--shots", "10000", "--seed", "0", "--precision", "6"],
+     "ad19e358009c1ee94cb397d3994a8b2082727c0e3e4d4e5ae2ce47c17a896c09"),
+    (["teleport", "--n", "0.5", "--l", "0.5", "--p", "0.5", "--mode", "sampled",
+      "--random-input", "7", "--shots", "10000", "--seed", "0", "--precision", "6", "--output", "csv"],
+     "1e47c4472697a92472de7d1b558957289ab06bb2206f16dffd3d8d3e9c80ec48"),
 ]
 
 
@@ -136,6 +143,35 @@ SWEEP_GOLDEN = [
      "07a405885afdcadc300f49f2c066d671e84f3b44c58236239c8879f24290219a"),
     (["sweep", "--n-grid", "0.13:2.2:0.00021", "--regime", "probabilistic1", "--precision", "17"],
      "73b86a7aaaac93bf8172c761579b7c01596a07f5e5f05c42e7670aeedb99bba7"),
+    # The bounds of the one-pass column format, recorded before it was
+    # added. Success below 1e-4 prints exponent reprs (1.999996e-06).
+    (["sweep", "--n-grid", "0.001:0.05:0.0005", "--regime", "probabilistic2"],
+     "78177210b3db74098da3b7e18ca3bb7d69e271997873508077e3a8697636fe21"),
+    (["sweep", "--n-grid", "0.001:0.05:0.0005", "--regime", "probabilistic1", "--output", "csv"],
+     "b6f732800a776d906f1bf73443b2713bdc658c9b334daf876e3b2e533f1fcb63"),
+    # repetitions up to 3.6e9, past 10^(15-6); the second grid stays below it
+    (["sweep", "--n-grid", "0:60000:250", "--regime", "probabilistic2", "--precision", "6"],
+     "3dda73f450e0cf46d017d6992425b8db45d005b6fed55d80eba2f6043344e2fb"),
+    (["sweep", "--n-grid", "0:60000:250", "--regime", "probabilistic1", "--precision", "6",
+      "--output", "csv"],
+     "df94aa3188901165eef20733ec1baf90cb1311bb3c794fe5eb3212db9769a2ec"),
+    (["sweep", "--n-grid", "0:31500:250", "--regime", "probabilistic2", "--precision", "6",
+      "--output", "csv"],
+     "130d4bf7c8a2eba3172257aa1106f59463cf6888483f5d3225ab001fabae073f"),
+    # 1/success 500001.00000050006 has 17 digits at precision 12
+    (["sweep", "--n-grid", "0.001:0.01:0.003", "--regime", "probabilistic2"],
+     "2f57398971afb8c63fa72a891336f50695dd9a15f51e83931ce27724287ba212"),
+    (["sweep", "--n-grid", "0.001:0.01:0.003", "--regime", "probabilistic2", "--output", "csv"],
+     "6921ba68d2f35a542fa298cdd478cfaebc390d9fdec0b49b773f675cb7e7fe7f"),
+    # 15 and 16 digits: 10^(15-d) is 1 and 0.1
+    (["sweep", *_GRID, "--regime", "probabilistic2", "--precision", "15"],
+     "a3797715e663454830264fbf965ddf0fc804a9a722f3858a645b9e27a1a44dd1"),
+    (["sweep", *_GRID, "--regime", "probabilistic1", "--precision", "15", "--output", "csv"],
+     "13e74187b79d3ae073d2cf71ae9182b108ea6a550751afb14374eb03b65246ff"),
+    (["sweep", *_GRID, "--regime", "probabilistic2", "--precision", "16", "--output", "csv"],
+     "487b7158cc22cac8db5d798115e01711efce070202d25dd0ea31af685f8bf6b7"),
+    (["sweep", *_GRID, "--regime", "probabilistic1", "--precision", "16"],
+     "cfe105d79eefd5fe50ff55a43fb90919aca689208383f0e85bea7c71a0aa117b"),
 ]
 
 
