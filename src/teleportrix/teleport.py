@@ -321,13 +321,15 @@ def _corrections(mats) -> np.ndarray:
     """
     mats = np.asarray(mats, dtype=complex)
     scale = np.abs(mats).max(axis=(-2, -1))[..., None, None]
-    # _svd2 has absolute floors near 1e-12. The polar factor of M is
-    # that of M / scale, so a tiny M is rescaled first; from an entry of
-    # 1e-12 up, the largest singular value clears the floors as it is.
-    # The Gram squares the entries and its determinant squares them
+    # _svd2 has absolute floors: 1e-12 on s1 and 1e-14 on the eigenvector
+    # of the Gram, whose trace t is at least scale^2. The polar factor of
+    # M is that of M / scale, so a small M is rescaled first. From an
+    # entry of 1e-6 up, t >= 1e-12 puts the eigenvector floor at 1 % of t
+    # or less; below about 1e-7 it sends the eigenvector of a generic M
+    # to e0. The Gram squares the entries and its determinant squares them
     # again, which overflows from about 1e77, so a large M is rescaled
     # too; up to 1e64 the recipe stays finite and keeps its bits.
-    as_is = (scale >= 1e-12) & (scale <= 1e64)
+    as_is = (scale >= 1e-6) & (scale <= 1e64)
     u, _, v = _svd2(np.where(as_is, mats, mats / np.where(scale > 0.0, scale, 1.0)))
     return np.where(scale > 0.0, np.matmul(v, u.conj().swapaxes(-1, -2)), _EYE)
 

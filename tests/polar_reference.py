@@ -41,10 +41,10 @@ def reference_svd2(a):
 
 
 def reference_correction(m):
-    """v u^dag of one matrix, rescaled first below an entry of 1e-12; I if m is zero."""
+    """v u^dag of one matrix, rescaled first below an entry of 1e-6; I if m is zero."""
     m = np.asarray(m, dtype=complex)
     scale = float(np.max(np.abs(m)))
     if not scale > 0.0:
         return np.eye(2, dtype=complex)
-    u, _, v = reference_svd2(m if scale >= 1e-12 else m / scale)
+    u, _, v = reference_svd2(m if scale >= 1e-6 else m / scale)
     return v @ u.conj().T

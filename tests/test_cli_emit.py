@@ -1,6 +1,7 @@
 """The CLI front end: one parser per process, the sweep emitter against the
-generic JSON/CSV route it replaced, and clean exits for an unwritable
---out path and a malformed TELEPORTRIX_SEED.
+generic JSON/CSV route it replaced, the one-pass column format against
+repr(round(v, d)), and clean exits for an unwritable --out path and a
+malformed TELEPORTRIX_SEED.
 """
 
 import contextlib
@@ -11,9 +12,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teleportrix import cli, complexfmt, teleport
@@ -205,6 +208,76 @@ def test_sweep_repetitions_overflow_names_the_parameter():
     rc, out, err = _run(["sweep", "--n-grid", "1e100:1e100:1"])
     assert (rc, out) == (2, "")
     assert err.startswith("teleportrix: n = ") and "is too large" in err
+
+
+# --- the one-pass column format ----------------------------------------------
+
+# The bounds of the pass at every precision d, and values that round onto
+# them: 1e-4, the half unit 0.5 10^-d (below it a value rounds to 0) and
+# 10^(15-d).
+_BOUNDS = [1e-4] + [x for d in range(6, 18) for x in (
+    0.5 * 10.0 ** -d, 1e-4 - 0.5 * 10.0 ** -d, 10.0 ** (15 - d), 10.0 ** (15 - d) - 0.5 * 10.0 ** -d)]
+_EDGES = [e for x in _BOUNDS for e in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+_SPECIAL = [5e-324, 2.5e-308, math.inf, math.nan]
+_FOREIGN = [st.none(), st.booleans(), st.integers(-10, 10), st.text(max_size=3)]
+
+
+@st.composite
+def _column_values(draw):
+    # magnitudes log-uniform over a per-column range: below 10^high, so
+    # inside the range of the pass from precision 15 - high down, or
+    # anywhere in [1e-20, 1e20]
+    if draw(st.integers(0, 2)):
+        high = draw(st.integers(-2, 9))
+        low = max(high - draw(st.sampled_from([0.2, 1.0, 3.0])), -4.3)
+    else:
+        low = draw(st.floats(-20.0, 20.0))
+        high = min(low + draw(st.sampled_from([0.5, 3.0, 40.0])), 20.0)
+    magnitude = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(low, high, exclude_max=True),
+                          st.sampled_from([1.0, -1.0]))
+    # zeros, and multiples of 2^-j: exact decimal ties at j - 1 digits
+    value = magnitude | st.sampled_from([0.0, -0.0])
+    value |= st.builds(lambda x, j: math.ldexp(math.trunc(math.ldexp(x, j)), -j), magnitude,
+                       st.integers(7, 18))
+    extra = draw(st.sampled_from(["none", "none", "edges", "foreign"]))
+    if extra == "edges":
+        value |= st.sampled_from(_EDGES + _SPECIAL + [-x for x in _EDGES + _SPECIAL])
+    elif extra == "foreign":
+        value |= draw(st.sampled_from(_FOREIGN + [value.map(np.float64)]))
+    size = draw(st.integers(1, 50))
+    return draw(st.lists(value, min_size=size, max_size=size))
+
+
+def test_column_pass_equals_rounded_repr_of_each_value(monkeypatch):
+    cells = cli._cells
+    fallbacks = []
+    monkeypatch.setattr(cli, "_cells", lambda *args: fallbacks.append(args[1]) or cells(*args))
+    passes = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_column_values())
+    # inside the pass at every precision: 17 trailing zeros, a tie at 6
+    @example([0.0, -0.0, 1e-300, 0.00123, 0.0078125, 0.0099])
+    # outside it by one value: one below 1e-4 of either sign, an int, a bool
+    @example([0.001, 0.002, 5e-05, 0.003, 0.004])
+    @example([0.001, 0.002, -5e-05, 0.003, 0.004])
+    @example([0.001, 0.002, 3, 0.003, 0.004])
+    @example([0.001, 0.002, True, 0.003, 0.004])
+    def check(values):
+        for digits in range(6, 18):
+            for csv in (False, True):
+                before = len(fallbacks)
+                got = cli._column(values, digits, csv)
+                assert got == cells(values, digits, csv)
+                if all(type(v) is float and math.isfinite(v) for v in values):
+                    assert got == [repr(round(v, digits)) for v in values]
+                if len(fallbacks) == before:
+                    passes.append(digits)
+
+    check()
+    # neither path is vacuous at any precision
+    assert set(passes) == set(fallbacks) == set(range(6, 18))
+    assert len(passes) > 300 and len(fallbacks) > 300, (len(passes), len(fallbacks))
 
 
 # --- clean exits -----------------------------------------------------------

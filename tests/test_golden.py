@@ -90,7 +90,7 @@ GOLDEN = [
      "8ab59cb2f9edef365cceffe0372a589a9b79d7755098e7cfa40d54089e53f5f7"),
     (["swap", *_DEAD_OUTCOMES, "--output", "csv"],
      "e3d42080db8b5b773fbfba873f40ca35d312f762f915df5470e57db208fb39ff"),
-    # 6 digits: the outcome columns through the one-pass column format
+    # 6 digits, the lowest precision
     (["teleport", "--n", "0.5", "--l", "0.5", "--p", "0.5", "--mode", "sampled",
       "--random-input", "7", "--shots", "10000", "--seed", "0", "--precision", "6"],
      "ad19e358009c1ee94cb397d3994a8b2082727c0e3e4d4e5ae2ce47c17a896c09"),

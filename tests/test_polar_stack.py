@@ -121,6 +121,24 @@ def test_large_matrices_are_rescaled(scale):
     assert np.array_equal(_bits(teleport.correction_unitary(tm)), _bits(corrections[0]))
 
 
+def test_corrections_are_scale_invariant():
+    # The polar factor of s A is that of A. Without the rescale, the
+    # absolute eigenvector floor of _svd2 sends v1 to e0 for largest
+    # entries between about 1e-12 and 1e-7, and the antidiagonal matrix at
+    # exactly 1e-12 gives NaN.
+    rng = np.random.default_rng(57)
+    antidiagonal = np.array([[0, 1j], [1, 0]])
+    mats = np.concatenate([_gaussian(rng, 40), [antidiagonal]])
+    scales = np.concatenate([10.0 ** np.arange(-300.0, 64.25, 0.25), [1e-12, 1e-7, 1e-6, 2e-6]])
+    scaled = teleport._corrections(scales[:, None, None, None] * mats)
+    unscaled = teleport._corrections(mats)
+    np.testing.assert_allclose(unscaled[-1], [[0, 1], [-1j, 0]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(scaled, np.broadcast_to(unscaled, scaled.shape), rtol=0, atol=1e-12)
+    # U A = V S V^dag is Hermitian
+    product = unscaled @ mats
+    np.testing.assert_allclose(product, product.conj().swapaxes(-1, -2), rtol=0, atol=1e-12)
+
+
 def test_zero_matrix_correction():
     assert np.array_equal(teleport._corrections(np.zeros((1, 2, 2))), [PAULI_I])
     with pytest.raises(SingularMatrix):
