@@ -13,12 +13,13 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
 from . import swap as swap_mod
 from . import teleport
-from .complexfmt import finite_complex, format_complex, parse_complex, squared_moduli, squared_modulus
+from .complexfmt import finite_complex, format_complex, parse_complex, squared_moduli
 from .ebasis import BASIS_LABELS
 from .errors import ParseError, TeleportrixError
 
@@ -208,9 +209,11 @@ def _json(chunks: list, value, digits, pad, key=None) -> list:
             if name != key:
                 _json(chunks, item, digits, inner)
                 continue
-            row = "{{" + ",".join(f"{inner}    {json.dumps(column)}: {{}}" for column in item) + inner + "  }}"
+            names = [json.dumps(column).replace("%", "%%") for column in item]
+            row = "{" + ",".join(f"{inner}    {name}: %s" for name in names) + inner + "  }"
             cells = [_column(column, digits, False) for column in item.values()]
-            chunks += ["[", inner + "  ", ("," + inner + "  ").join(map(row.format, *cells)), inner + "]"]
+            rows = ("," + inner + "  ").join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+            chunks += ["[", inner + "  ", rows, inner + "]"]
         chunks.append(pad + "}")
     else:
         chunks += _cells([value], digits, False)
@@ -360,7 +363,7 @@ def _cmd_classify(args):
     return _emit(args, report, {name: [value] for name, value in row.items()})
 
 
-def _parse_grid(text: str) -> list:
+def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ParseError(f"grid must be START:STOP:STEP, got {text!r}")
@@ -376,7 +379,7 @@ def _parse_grid(text: str) -> list:
     if not span < MAX_GRID_POINTS:
         raise ParseError(f"grid has more than {MAX_GRID_POINTS} points, got {text!r}")
     count = int(math.floor(span)) + 1
-    return [start + i * step for i in range(count)]
+    return start + np.arange(count) * step  # start + i * step, two IEEE operations
 
 
 def _cmd_sweep(args):
@@ -391,13 +394,12 @@ def _cmd_sweep(args):
     else:
         stack = teleport.one_faithful_stack(grid, 1)
         designated = (teleport.one_faithful_labels(1),)
-    success = stack.success(designated).tolist()
-    table = {
-        "n": grid,
-        "success_probability": success,
-        "repetitions": _repetitions(grid),
-        "inverse_success": [1.0 / s if s > 0.0 else math.inf for s in success],
-    }
+    success = stack.success(designated)
+    with np.errstate(over="ignore"):  # 1 / s is inf below s = 1 / DBL_MAX, as in Python
+        inverse = np.divide(1.0, success, out=np.full_like(success, math.inf), where=success > 0.0)
+    columns = {"n": grid, "success_probability": success, "repetitions": _repetitions(grid),
+               "inverse_success": inverse}
+    table = {name: column.tolist() for name, column in columns.items()}
     report = {
         "command": "sweep",
         "params": {"n_grid": args.n_grid, "regime": args.regime},
@@ -407,15 +409,11 @@ def _cmd_sweep(args):
     return _emit(args, report, table, "rows")
 
 
-def _repetitions(grid) -> list:
+def _repetitions(grid: np.ndarray) -> np.ndarray:
     """teleport.expected_repetitions of every grid point, same bits."""
-    mod2 = squared_moduli(np.array([grid], dtype=complex), ("n",))[0].tolist()
-    try:
-        return [(1.0 + m) ** 2 / m if m else math.inf for m in mod2]
-    except OverflowError:
-        for n in grid:
-            squared_modulus(complex(n), "n", power=2)
-        raise
+    mod2 = squared_moduli(grid.astype(complex)[None], ("n",), power=2)[0]
+    with np.errstate(divide="ignore", over="ignore"):  # inf at n = 0 and below |n|^2 = 1 / DBL_MAX, as in Python
+        return np.float_power(1.0 + mod2, 2.0) / mod2
 
 
 if __name__ == "__main__":

@@ -112,22 +112,20 @@ def squared_modulus(z: complex, name: str, power: int = 1) -> float:
     return mod2
 
 
-def squared_moduli(rows: np.ndarray, names) -> np.ndarray:
+def squared_moduli(rows: np.ndarray, names, power: int = 1) -> np.ndarray:
     """squared_modulus of every entry of an (R, G) complex array, same bits.
 
     Row r holds values of the parameter names[r], which an overflow
-    error names. np.hypot is the hypot that abs(complex) calls; the
-    power is taken per entry as a Python float, because x * x (numpy's
-    square) differs from it in the last bit for a few x in 10^4.
+    error names. np.hypot is the hypot of abs(complex) and np.float_power(x,
+    2.0) calls the C pow of a float's ** (x * x, np.square and np.power
+    miss it in the last bit for some x in 10^3).
     """
     moduli = np.hypot(rows.real, rows.imag)
-    try:
-        return np.array([m ** 2 for m in moduli.ravel().tolist()]).reshape(rows.shape)
-    except OverflowError:
+    if not moduli.max() < 1e154 ** (1 / power):  # a power may overflow: the per-entry check raises
         for name, row in zip(names, rows.tolist()):
             for z in row:
-                squared_modulus(z, name)
-        raise
+                squared_modulus(z, name, power)
+    return np.float_power(moduli, 2.0)
 
 
 def weight(z: complex, name: str) -> float:

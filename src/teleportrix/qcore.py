@@ -234,9 +234,23 @@ def _svd2(a: np.ndarray):
         u1 = np.where((s1 > 1e-12)[..., None], u1 / rowwise_norm(u1)[..., None], _E0)
         u2 = matvec(a, v2) / s2[..., None]
         u2 = u2 - rowwise_vdot(u1, u2)[..., None] * u1
-        u2 = np.where((s2 > 1e-9 * np.maximum(s1, 1e-300))[..., None], u2 / rowwise_norm(u2)[..., None],
+        n2 = rowwise_norm(u2)
+        # Rounding can leave s2 of a rank-one matrix above its floor with
+        # a v2 along u1, so that nothing of u2 is left; any unit vector
+        # orthogonal to u1 then serves, unless u1 is the floor's e0.
+        solved = (s2 > 1e-9 * np.maximum(s1, 1e-300)) & ((n2 > 0.0) | (s1 <= 1e-12))
+        u2 = np.where(solved[..., None], u2 / n2[..., None],
                       np.stack([-u1[..., 1].conj(), u1[..., 0].conj()], axis=-1))
-    return np.stack([u1, u2], axis=-1), np.stack([s1, s2], axis=-1), np.stack([v1, v2], axis=-1)
+    u, s, v = np.stack([u1, u2], axis=-1), np.stack([s1, s2], axis=-1), np.stack([v1, v2], axis=-1)
+    # Below the floor of s1, u1 = e0 whatever a is, and u2 can come out
+    # 0 / 0. The singular vectors of a are those of a / max|a|, whose s1
+    # is at least 1, so that second solve is finite.
+    if np.isnan(u).any():
+        redo = np.isnan(u).any(axis=(-2, -1)) & np.isfinite(a).all(axis=(-2, -1))
+        scale = np.abs(a[redo]).max(axis=(-2, -1))
+        u[redo], s[redo], v[redo] = _svd2(a[redo] / scale[:, None, None])
+        s[redo] *= scale[:, None]
+    return u, s, v
 
 
 def schmidt(s: PureState) -> SchmidtForm:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,9 +168,10 @@ class InputBatch:
     probabilities[i, k] = ||M_k psi_i||^2. bob[i, k] is Bob's corrected,
     renormalized state and fidelities[i, k] its fidelity with psi_i;
     below TOL_PROB, bob is zero and the fidelity NaN. A faithful branch
-    is kept down to probability 0 exclusive, since its state is exact at
-    any scale. corrections holds the four (input-independent)
-    correction unitaries.
+    is kept down to the smallest normal float, since its state is exact
+    at any scale; below that the probability has lost bits, and the state
+    renormalised by its square root is off unit norm by up to 1e-2.
+    corrections holds the four (input-independent) correction unitaries.
     """
 
     probabilities: np.ndarray
@@ -254,7 +256,9 @@ def _grams(mats: np.ndarray) -> np.ndarray:
 
 
 def _check_gram_total(grams: np.ndarray) -> None:
-    deviation = np.abs(grams.sum(axis=-3) - _EYE).max()
+    # grams.sum(axis=-3) loops once per 2x2 block; adds of whole slices keep its order and bits
+    total = sum(grams[..., k, :, :] for k in range(grams.shape[-3]))
+    deviation = np.abs(total - _EYE).max()
     if not deviation < TOL_NORM:
         raise CompletenessError(
             f"completeness violated: sum M^dag M deviates from I by {float(deviation)!r}")
@@ -270,9 +274,13 @@ def _gram_analysis(grams: np.ndarray) -> tuple:
     """
     c = (grams[..., 0, 0].real + grams[..., 1, 1].real) / 2.0
     positive = c > 0.0
-    scaled = grams / np.where(positive, c, 1.0)[..., None, None]
+    # The real and imaginary parts over c: numpy's complex / real
+    # multiplies by 1 / c, which is inf below c = 1 / DBL_MAX.
+    parts = grams.astype(complex, copy=False).view(float)
+    scaled = (parts / np.where(positive, c, 1.0)[..., None, None]).view(complex)
     scaled -= _EYE
-    deviation = np.abs(scaled).max(axis=(-2, -1))
+    dev = np.abs(scaled)
+    deviation = np.maximum(np.maximum(dev[..., 0, 0], dev[..., 0, 1]), np.maximum(dev[..., 1, 0], dev[..., 1, 1]))
     return c, positive & (deviation <= TOL_EQ)
 
 
@@ -498,15 +506,13 @@ def evaluate_inputs(stack: BranchStack, inputs) -> InputBatch:
     corrections = _corrections(matrices)
     conditioned = matvec(matrices, psi[:, None, :])
     probs = rowwise_vdot(conditioned, conditioned).real
-    kept = (probs >= TOL_PROB) | (stack.faithful[0] & (probs > 0.0))
+    kept = (probs >= TOL_PROB) | (stack.faithful[0] & (probs >= sys.float_info.min))
     bob = matvec(corrections, conditioned) / np.sqrt(np.where(kept, probs, 1.0))[..., None]
     bob[~kept] = 0.0
     overlap = rowwise_vdot(bob, psi[:, None, :])
-    # |overlap|^2 as qcore.fidelity takes it for one state: hypot, then a
-    # float power per entry. numpy's vectorised abs and square can differ
-    # from that in the last bit.
-    moduli = np.hypot(overlap.real, overlap.imag).ravel().tolist()
-    fids = np.minimum(np.array([m ** 2 for m in moduli]).reshape(probs.shape), 1.0)
+    # |overlap|^2 as qcore.fidelity takes it for one state: hypot, then
+    # the C pow of a float's ** (see complexfmt.squared_moduli).
+    fids = np.minimum(np.float_power(np.hypot(overlap.real, overlap.imag), 2.0), 1.0)
     fids[~kept] = np.nan
     return InputBatch(probs, corrections, bob, fids)
 

@@ -8,7 +8,10 @@ import numpy as np
 
 
 def reference_svd2(a):
-    """(u, (s1, s2), v) of one 2x2 matrix, one `if` per branch."""
+    """(u, (s1, s2), v) of one 2x2 matrix, one `if` per branch.
+
+    Where u would be NaN, the matrix is solved again divided by its
+    largest entry."""
     a = np.asarray(a, dtype=complex)
     g = a.conj().T @ a
     t = float(g[0, 0].real + g[1, 1].real)
@@ -31,13 +34,18 @@ def reference_svd2(a):
         u1 = u1 / np.linalg.norm(u1)
     else:
         u1 = np.array([1.0, 0.0], dtype=complex)
+    u2 = np.array([-np.conj(u1[1]), np.conj(u1[0])])
     if s2 > 1e-9 * max(s1, 1e-300):
-        u2 = a @ v2 / s2
-        u2 = u2 - np.vdot(u1, u2) * u1
-        u2 = u2 / np.linalg.norm(u2)
-    else:
-        u2 = np.array([-np.conj(u1[1]), np.conj(u1[0])])
-    return np.column_stack([u1, u2]), (s1, s2), np.column_stack([v1, v2])
+        w = a @ v2 / s2
+        w = w - np.vdot(u1, w) * u1
+        if np.linalg.norm(w) > 0.0 or s1 <= 1e-12:
+            u2 = w / np.linalg.norm(w)
+    u = np.column_stack([u1, u2])
+    if np.isnan(u).any() and np.all(np.isfinite(a)):
+        scale = float(np.max(np.abs(a)))
+        u, (s1, s2), v = reference_svd2(a / scale)
+        return u, (s1 * scale, s2 * scale), v
+    return u, (s1, s2), np.column_stack([v1, v2])
 
 
 def reference_correction(m):

@@ -128,8 +128,9 @@ def _old_fmt(value, digits):
 def _old_sweep_text(grid_text, regime, output, digits):
     """The sweep report as the generic route wrote it: expected_repetitions
     per point, then the _rounded walk and json.dumps(indent=2), or _fmt
-    cells for CSV."""
-    grid = cli._parse_grid(grid_text)
+    cells for CSV. The grid is start + i * step per point, as Python floats."""
+    start, _, step = map(float, grid_text.split(":"))
+    grid = [start + i * step for i in range(len(cli._parse_grid(grid_text)))]
     if regime == "probabilistic2":
         stack = teleport.two_faithful_stack(grid, 0)
         designated = teleport.two_faithful_labels(0)
@@ -208,6 +209,31 @@ def test_sweep_repetitions_overflow_names_the_parameter():
     rc, out, err = _run(["sweep", "--n-grid", "1e100:1e100:1"])
     assert (rc, out) == (2, "")
     assert err.startswith("teleportrix: n = ") and "is too large" in err
+
+
+@pytest.mark.parametrize("grid,first", [
+    # (1 + |n|^2)^2 of the repetitions column overflows
+    ("1e100:1e101:1e100", "(1e+100+0j)"),
+    # |n|^2 of the transfer matrices overflows, at the second point
+    ("1e150:1e160:1e158", "(1.00000001e+158+0j)"),
+])
+@pytest.mark.parametrize("regime", ["probabilistic2", "probabilistic1"])
+def test_sweep_overflow_names_the_first_point_that_overflows(grid, first, regime):
+    err = f"teleportrix: n = {first} is too large: a power of |n| overflows a float\n"
+    for output in ("json", "csv"):
+        assert _run(["sweep", "--n-grid", grid, "--regime", regime, "--output", output]) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "1e-160", "--l", "1e-160", "--p", "1e-160"],
+    ["sweep", "--n-grid", "1e-170:1e-160:1e-161"],
+])
+def test_subnormal_branch_probabilities_leave_stderr_empty(argv):
+    # numpy once warned of overflow and invalid values in the Gram test
+    proc = _run_cli(argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    if argv[0] == "classify":
+        assert json.loads(proc.stdout)["regime"] == "Probabilistic(k=2)"
 
 
 # --- the one-pass column format ----------------------------------------------

@@ -80,3 +80,12 @@ def _argvs(draw):
 @given(_argvs(), st.integers(6, 17))
 def test_reports_keep_the_indent2_layout(argv, digits):
     assert_indent2_layout(argv + ["--precision", str(digits), "--seed", "1"])
+
+
+def test_row_template_escapes_percent_in_column_names():
+    # the rows are one %-format of the row template, so a % in a column
+    # name must come out as itself
+    report = {"rows": {"50%": [0.5, 1.0], "%s": ["a", None], "n": [1e-5, math.inf]}}
+    text = "".join(cli._json([], report, 12, "\n", "rows"))
+    assert text == json.dumps({"rows": [{"50%": 0.5, "%s": "a", "n": 1e-05},
+                                        {"50%": 1.0, "%s": None, "n": "Infinite"}]}, indent=2)

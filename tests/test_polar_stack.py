@@ -139,6 +139,37 @@ def test_corrections_are_scale_invariant():
     np.testing.assert_allclose(product, product.conj().swapaxes(-1, -2), rtol=0, atol=1e-12)
 
 
+def _assert_polar_factor(u, a):
+    """u is a finite unitary and u a is Hermitian positive semidefinite."""
+    assert np.all(np.isfinite(u))
+    eye = np.broadcast_to(PAULI_I, u.shape)
+    np.testing.assert_allclose(u @ u.conj().swapaxes(-1, -2), eye, rtol=0, atol=1e-12)
+    p = u @ a / np.abs(a).max(axis=(-2, -1))[..., None, None]
+    np.testing.assert_allclose(p, p.conj().swapaxes(-1, -2), rtol=0, atol=1e-12)
+    assert np.all(np.linalg.eigvalsh(p) >= -1e-12)
+
+
+def test_svd_below_the_floor_of_s1_has_no_nan():
+    # Below s1 = 1e-12, u1 is e0 whatever a is; for this matrix a v2 lies
+    # along e0 too, and the second column of u was 0 / 0.
+    antidiagonal = np.array([[0, 1j], [1, 0]])
+    mats = np.array([s * antidiagonal for s in (1e-13, 1e-20, 1e-150)])
+    u, s, v = qcore._svd2(mats)
+    _assert_polar_factor(v @ u.conj().swapaxes(-1, -2), mats)
+    np.testing.assert_allclose(u * s[:, None, :] @ v.conj().swapaxes(-1, -2), mats, rtol=1e-12, atol=0)
+
+
+def test_rank_one_corrections_have_no_nan():
+    # Rounding leaves s2 of this rank-one matrix above its floor at some
+    # scales, with a v2 along u1; _corrections was all NaN at 169 of these
+    # scales, the three named below among them.
+    rank_one = np.outer([1, 2j], [3, 1 - 1j])
+    scales = 10.0 ** np.arange(-300.0, 64.25, 0.25)
+    assert np.all(np.isfinite(teleport._corrections(scales[:, None, None] * rank_one)))
+    mats = np.array([s * rank_one for s in (10**-2.5, 10**-4.5, 10**22.25)])
+    _assert_polar_factor(teleport._corrections(mats), mats)
+
+
 def test_zero_matrix_correction():
     assert np.array_equal(teleport._corrections(np.zeros((1, 2, 2))), [PAULI_I])
     with pytest.raises(SingularMatrix):

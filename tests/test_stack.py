@@ -1,6 +1,8 @@
 """The stacked transfer-matrix path: validation, scale-invariant faithfulness,
 parameter overflow, and a property test against the scalar route."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,25 @@ class TestScaleInvariantFaithfulness:
         assert teleport.is_faithful(TransferMatrix("x", 1e-150 * PAULI_X))
         assert not teleport.is_faithful(TransferMatrix("x", 1e-150 * np.diag([1.0, 0.25])))
 
+    @pytest.mark.parametrize("n", [1e-155, 1e-160])
+    def test_subnormal_branch_probability_keeps_two_faithful_outcomes(self, n):
+        # c = |n|^2 is below the smallest normal float. numpy divides a
+        # complex by a real through 1 / c, which overflows below 5.6e-309,
+        # so the Gram test once called these branches unfaithful.
+        params = teleport.two_faithful_choice(n, 0)
+        report = teleport.classify(params)
+        assert report.regime == "Probabilistic(k=2)"
+        assert report.faithful_outcomes == teleport.two_faithful_labels(0)
+        brute = sum(teleport.branch_probability(tm) for tm in teleport.transfer_matrices(params)
+                    if tm.label in report.faithful_outcomes)
+        assert report.success_probability == brute == teleport.success_probability_analytic(n, k=2)
+        assert teleport.is_faithful(TransferMatrix("x", n * PAULI_X))
+        # a subnormal probability has lost bits, so run keeps no state for it
+        records = {r.label: r for r in teleport.run((0.6, 0.8j), params).records}
+        for label in report.faithful_outcomes:
+            assert records[label].faithful and 0.0 < records[label].probability < np.finfo(float).tiny
+            assert records[label].bob_state is None and records[label].fidelity is None
+
     def test_polar_correction_of_a_tiny_matrix(self):
         tm = TransferMatrix("x", 1e-14 * np.array([[0, 1j], [1, 0]]))
         u = teleport.correction_unitary(tm)
@@ -142,6 +163,22 @@ class TestOverflowHelper:
         z = (rng.normal(size=2000) + 1j * rng.normal(size=2000)) * 10.0 ** rng.uniform(-100, 100, 2000)
         got = complexfmt.squared_moduli(z[None, :], ("z",))[0]
         assert got.tolist() == [complexfmt.squared_modulus(v, "z") for v in z.tolist()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-300.0, 154.0), min_size=1, max_size=40), st.integers(0, 2**32 - 1),
+       st.floats(-3.0, 3.0))
+def test_float_power_is_the_power_of_a_python_float(exponents, seed, scale):
+    # squared_moduli, _repetitions and evaluate_inputs square with
+    # np.float_power(x, 2.0), which must be v ** 2 bit for bit: log-uniform
+    # magnitudes up to 1e154 (above it complexfmt takes the checked route),
+    # hypot of Gaussian pairs as moduli and fidelities are, and the float
+    # neighbours of each
+    pairs = np.random.default_rng(seed).normal(size=(2, 50)) * 10.0 ** scale
+    values = [10.0 ** e for e in exponents] + np.hypot(*pairs).tolist()
+    values += [math.nextafter(v, toward) for v in values for toward in (0.0, math.inf)]
+    got = np.float_power(np.array(values), 2.0)
+    assert np.array_equal(got.view(np.int64), np.array([v ** 2 for v in values]).view(np.int64))
 
 
 _MAGNITUDES = st.tuples(st.floats(min_value=-7.0, max_value=7.0), st.sampled_from([-1.0, 1.0]))
