@@ -120,7 +120,8 @@ def squared_moduli(rows: np.ndarray, names, power: int = 1) -> np.ndarray:
     2.0) calls the C pow of a float's ** (x * x, np.square and np.power
     miss it in the last bit for some x in 10^3).
     """
-    moduli = np.hypot(rows.real, rows.imag)
+    with np.errstate(over="ignore"):  # |z| above DBL_MAX: the per-entry check below raises NonFinite
+        moduli = np.hypot(rows.real, rows.imag)
     if not moduli.max() < 1e154 ** (1 / power):  # a power may overflow: the per-entry check raises
         for name, row in zip(names, rows.tolist()):
             for z in row:

@@ -14,10 +14,15 @@ M^dag M = c I for some c > 0: Bob applies the adjoint of the polar
 unitary factor of M and recovers the input with unit fidelity. For a
 faithful outcome the probability ||M psi||^2 = c is the same for every
 input, which is what makes the success probability state independent.
-Faithfulness of each branch depends only on |l| or |p| versus |n| and
-1/|n|; each faithful branch occurs with probability |n|^2/(1+|n|^2)^2.
-The test is relative (M^dag M / c against I), so it holds at any scale
-of c; only c == 0 is unfaithful for its size.
+Each M_k has one nonzero entry per row and column, x in column 0 and y
+in column 1, so M^dag M = diag(|x|^2, |y|^2) exactly and faithful means
+|x| = |y|: branch_stack reads the Grams off the eight entries as
+re * re + im * im, real float operations that round alike on every host
+(a complex matmul's bits depend on the BLAS kernel). So faithfulness
+depends only on |l| or |p| versus |n| and 1/|n|; each faithful branch
+occurs with probability |n|^2/(1+|n|^2)^2. The test is relative
+(|x|^2 / c and |y|^2 / c against 1), so it holds at any scale of c;
+only c == 0 is unfaithful for its size.
 
 Success probabilities reported by classify and run always come from
 the matrices themselves; success_probability_analytic is the closed
@@ -64,20 +69,20 @@ SAMPLE_CHUNK = 4096
 # basis parameters to the resource as (l, p) = (n, n*), (n, 1/n),
 # (1/n*, 1/n), (1/n*, n*). Each leaves exactly the named pair faithful.
 _TWO_FAITHFUL = (
-    (lambda n: (n, n.conjugate()), ("PhiMinus", "PsiPlus")),
-    (lambda n: (n, 1 / n), ("PhiMinus", "PsiMinus")),
-    (lambda n: (1 / n.conjugate(), 1 / n), ("PhiPlus", "PsiMinus")),
-    (lambda n: (1 / n.conjugate(), n.conjugate()), ("PhiPlus", "PsiPlus")),
+    (lambda n: (n, n.conjugate()), ("PhiMinus", "PsiPlus"), False),
+    (lambda n: (n, 1 / n), ("PhiMinus", "PsiMinus"), True),
+    (lambda n: (1 / n.conjugate(), 1 / n), ("PhiPlus", "PsiMinus"), True),
+    (lambda n: (1 / n.conjugate(), n.conjugate()), ("PhiPlus", "PsiPlus"), True),
 )
 
 # Choices with one faithful outcome, indexed 0..3: (l, p) from n and a
-# generic value g that leaves the other pair unfaithful. Index 0 and 3
-# divide by n. The rules take Python complex numbers or numpy arrays.
+# generic value g that leaves the other pair unfaithful. The rules take
+# Python complex numbers or numpy arrays; the flag marks those dividing by n.
 _ONE_FAITHFUL = (
-    (lambda n, g: (1 / n.conjugate(), g), "PhiPlus"),
-    (lambda n, g: (n, g), "PhiMinus"),
-    (lambda n, g: (g, n.conjugate()), "PsiPlus"),
-    (lambda n, g: (g, 1 / n), "PsiMinus"),
+    (lambda n, g: (1 / n.conjugate(), g), "PhiPlus", True),
+    (lambda n, g: (n, g), "PhiMinus", False),
+    (lambda n, g: (g, n.conjugate()), "PsiPlus", False),
+    (lambda n, g: (g, 1 / n), "PsiMinus", True),
 )
 
 
@@ -199,28 +204,32 @@ def branch_stack(n, ell, p) -> BranchStack:
     satisfy the completeness relation sum_k M_k^dag M_k = I, which is
     what makes the four branch probabilities sum to 1; it is checked for
     every tuple. Every entry is formed with the float operations of the
-    scalar expressions in the module docstring, so a tuple gives the
-    same bits whatever G.
+    scalar expressions in the module docstring, and the Grams are read off
+    the entries (see there), so a tuple gives the same bits whatever G.
     """
-    mats = _matrix_stack(finite_rows([n, ell, p], "n, ell and p"))
-    grams = _grams(mats)
-    _check_gram_total(grams)
-    probabilities, faithful = _gram_analysis(grams)
-    return BranchStack(mats, probabilities, faithful)
+    entries = _entries(finite_rows([n, ell, p], "n, ell and p"))
+    squares = entries.real * entries.real + entries.imag * entries.imag
+    diagonals = squares[_DIAGONAL].reshape(2, 4, -1).transpose(0, 2, 1)  # (2, G, 4)
+    _check_gram_total(diagonals)
+    mats = np.zeros((entries.shape[1], 16), dtype=complex)
+    mats[:, _NONZERO] = entries.T
+    return BranchStack(mats.reshape(-1, 4, 2, 2), *_gram_analysis(diagonals))
 
 
 # Flat positions, in the (4, 2, 2) stack of one tuple, of the eight
-# entries that are not identically zero, in the row order of
-# _matrix_stack: the PhiPlus/PhiMinus rows, then the PsiMinus/PsiPlus rows.
-_NONZERO = [0, 3, 4, 7, 13, 14, 9, 10]
+# entries that are not identically zero, in the row order of _entries:
+# the PhiPlus/PhiMinus rows, then the PsiMinus/PsiPlus rows.
+_NONZERO = np.array([0, 3, 4, 7, 13, 14, 9, 10])
+# Rows of _entries in column 0 of M_0..M_3, then in column 1.
+_DIAGONAL = np.array([0, 2, 7, 5, 1, 3, 6, 4])
 _EYE = np.eye(2)
 # Outcome labels as an object array, so a whole index array maps to
 # labels in one indexing step.
 _LABEL_ARRAY = np.array(BASIS_LABELS, dtype=object)
 
 
-def _matrix_stack(params: np.ndarray) -> np.ndarray:
-    """(G, 4, 2, 2) matrices of a (3, G) array of n, l and p.
+def _entries(params: np.ndarray) -> np.ndarray:
+    """(8, G) nonzero transfer-matrix entries of a (3, G) array of n, l and p.
 
     Each entry gets the bits of the scalar construction: the products
     n l* and n p through the real and imaginary parts exactly as
@@ -245,50 +254,46 @@ def _matrix_stack(params: np.ndarray) -> np.ndarray:
     entries[7] = params[0]
     entries[:4] *= nw * lw
     entries[4:] *= nw * pw
-    mats = np.zeros((params.shape[1], 16), dtype=complex)
-    mats[:, _NONZERO] = entries.T
-    return mats.reshape(-1, 4, 2, 2)
+    return entries
 
 
-def _grams(mats: np.ndarray) -> np.ndarray:
-    """M^dag M of every 2x2 matrix of a (..., 2, 2) stack."""
-    return np.matmul(mats.conj().swapaxes(-1, -2), mats)
+def _grams(mats: np.ndarray) -> tuple:
+    """(2, ..., K) real diagonal and (..., K) g01 of M^dag M for a (..., K, 2, 2) stack."""
+    grams = np.matmul(mats.conj().swapaxes(-1, -2), mats)
+    return np.stack([grams[..., 0, 0].real, grams[..., 1, 1].real]), grams[..., 0, 1]
 
 
-def _check_gram_total(grams: np.ndarray) -> None:
-    # grams.sum(axis=-3) loops once per 2x2 block; adds of whole slices keep its order and bits
-    total = sum(grams[..., k, :, :] for k in range(grams.shape[-3]))
-    deviation = np.abs(total - _EYE).max()
+def _check_gram_total(diagonals: np.ndarray, off=None) -> None:
+    """CompletenessError unless each group's K Grams (as _grams gives them, off None
+    where all are diagonal) sum to I within TOL_NORM; adds of whole slices keep k order."""
+    total = sum((diagonals[..., k] for k in range(1, diagonals.shape[-1])), diagonals[..., 0])
+    deviation = np.abs(total - 1.0).max()
+    if off is not None:
+        deviation = np.maximum(deviation, np.abs(sum(off[..., k] for k in range(off.shape[-1]))).max())
     if not deviation < TOL_NORM:
         raise CompletenessError(
             f"completeness violated: sum M^dag M deviates from I by {float(deviation)!r}")
 
 
-def _gram_analysis(grams: np.ndarray) -> tuple:
-    """Half traces c = tr(G)/2 and faithfulness of a (..., 2, 2) Gram stack.
+def _gram_analysis(diagonals: np.ndarray, off=None) -> tuple:
+    """Half traces c = tr(G)/2 and faithfulness of Grams G given as to _check_gram_total.
 
-    Faithful means G / c = I to a relative TOL_EQ with c > 0. Dividing
-    by c first makes the test independent of the scale of M, so a
-    faithful branch of probability 1e-200 is still faithful; c == 0
-    (and NaN) is not.
+    Faithful means G / c = I to a relative TOL_EQ with c > 0, so a faithful
+    branch of probability 1e-200 is still faithful; c == 0 (and NaN) is not.
+    g01 / c divides its parts: numpy's complex / real multiplies by 1 / c,
+    which is inf below c = 1 / DBL_MAX.
     """
-    c = (grams[..., 0, 0].real + grams[..., 1, 1].real) / 2.0
+    c = (diagonals[0] + diagonals[1]) / 2.0
     positive = c > 0.0
-    # The real and imaginary parts over c: numpy's complex / real
-    # multiplies by 1 / c, which is inf below c = 1 / DBL_MAX.
-    parts = grams.astype(complex, copy=False).view(float)
-    scaled = (parts / np.where(positive, c, 1.0)[..., None, None]).view(complex)
-    scaled -= _EYE
-    dev = np.abs(scaled)
-    deviation = np.maximum(np.maximum(dev[..., 0, 0], dev[..., 0, 1]), np.maximum(dev[..., 1, 0], dev[..., 1, 1]))
+    scale = np.where(positive, c, 1.0)
+    deviation = np.maximum(*np.abs(diagonals / scale - 1.0))
+    if off is not None:
+        deviation = np.maximum(deviation, np.hypot(off.real / scale, off.imag / scale))
     return c, positive & (deviation <= TOL_EQ)
 
 
 def transfer_matrices(params: ProtocolParams) -> tuple:
-    """The four transfer matrices, in canonical outcome-label order.
-
-    The batch of one of branch_stack, completeness check included.
-    """
+    """The four transfer matrices in canonical label order: branch_stack's batch of one."""
     matrices = protocol_branches(params).matrices[0]
     return tuple(TransferMatrix(label, m) for label, m in zip(BASIS_LABELS, matrices))
 
@@ -304,17 +309,17 @@ def check_completeness(matrices) -> None:
         matrices = np.array(list(matrices), dtype=complex)
     if matrices.size == 0:
         raise BadInput("check_completeness needs at least one matrix")
-    _check_gram_total(_grams(matrices))
+    _check_gram_total(*_grams(matrices))
 
 
 def is_faithful(tm: TransferMatrix) -> bool:
     """True iff M^dag M = c I for some c > 0 (relative tolerance TOL_EQ)."""
-    return bool(_gram_analysis(_grams(tm.matrix))[1])
+    return bool(_gram_analysis(*_grams(tm.matrix))[1])
 
 
 def branch_probability(tm: TransferMatrix) -> float:
     """Input-independent probability of a faithful branch (tr M^dag M / 2)."""
-    return float(_gram_analysis(_grams(tm.matrix))[0])
+    return float(_gram_analysis(*_grams(tm.matrix))[0])
 
 
 def _corrections(mats) -> np.ndarray:
@@ -396,11 +401,8 @@ def repetition_counts(n) -> dict:
 def two_faithful_choice(n, index: int) -> ProtocolParams:
     """One of the four basis choices leaving exactly two faithful outcomes."""
     n = finite_complex(n, "n")
-    make, _ = _choice(_TWO_FAITHFUL, index)
-    if index != 0 and n == 0:
-        raise NonFinite("choice needs a nonzero resource parameter")
-    l, p = make(n)
-    return ProtocolParams(n, l, p)
+    make, _ = _choice(_TWO_FAITHFUL, index, n == 0)
+    return ProtocolParams(n, *make(n))
 
 
 def two_faithful_stack(n, index: int) -> BranchStack:
@@ -411,9 +413,7 @@ def two_faithful_stack(n, index: int) -> BranchStack:
     in the last bit when n is not real.
     """
     n = np.asarray(n, dtype=complex)
-    make, _ = _choice(_TWO_FAITHFUL, index)
-    if index != 0 and not np.all(n):
-        raise NonFinite("choice needs a nonzero resource parameter")
+    make, _ = _choice(_TWO_FAITHFUL, index, not np.all(n))
     return branch_stack(n, *make(n))
 
 
@@ -422,42 +422,46 @@ def two_faithful_labels(index: int) -> tuple:
     return _choice(_TWO_FAITHFUL, index)[1]
 
 
-def _choice(table: tuple, index: int) -> tuple:
-    """Entry `index` of _TWO_FAITHFUL or _ONE_FAITHFUL; BadInput unless an integer 0..3."""
+def _choice(table: tuple, index: int, has_zero: bool = False) -> tuple:
+    """Rule and labels of entry `index` of _TWO_FAITHFUL or _ONE_FAITHFUL: BadInput unless
+    index is an integer 0..3, NonFinite where the rule divides by n and n has a zero."""
     if index not in range(4) or not isinstance(index, (int, np.integer)):
         raise BadInput(f"index must be 0..3, got {index!r}")
-    return table[index]
-
-
-def _one_faithful_rule(index: int, has_zero: bool):
-    rule, _ = _choice(_ONE_FAITHFUL, index)
-    if index in (0, 3) and has_zero:
+    rule, labels, divides = table[index]
+    if divides and has_zero:
         raise NonFinite("choice needs a nonzero resource parameter")
-    return rule
+    return rule, labels
 
 
 def one_faithful_choice(n, index: int) -> ProtocolParams:
-    """One of the four single conditions, the other parameter kept generic.
-
-    The generic value max(|n|, 1/|n|) + 1 is strictly larger than both
-    moduli that would make its branch pair faithful.
-    """
+    """One of the four single conditions, the other parameter kept generic (see _one_faithful)."""
     n = finite_complex(n, "n")
-    rule = _one_faithful_rule(index, n == 0)
-    generic = complex(max(abs(n), 1.0 / abs(n) if n != 0 else 0.0) + 1.0)
-    return ProtocolParams(n, *rule(n, generic))
+    rule, generic = _one_faithful(np.array([n]), index)
+    return ProtocolParams(n, *rule(n, complex(generic[0])))
 
 
 def one_faithful_stack(n, index: int) -> BranchStack:
-    """branch_stack of one_faithful_choice(n[g], index) for a (G,) array n.
-
-    Bits as for two_faithful_stack: the per-point ones for real n.
-    """
+    """branch_stack of one_faithful_choice(n[g], index) for a (G,) array n; bits as for two_faithful_stack."""
     n = np.asarray(n, dtype=complex)
-    rule = _one_faithful_rule(index, not np.all(n))
-    modulus = np.hypot(n.real, n.imag)
-    inverse = np.divide(1.0, modulus, out=np.zeros_like(modulus), where=modulus != 0.0)
-    return branch_stack(n, *rule(n, np.maximum(modulus, inverse) + 1.0))
+    rule, generic = _one_faithful(n, index)
+    return branch_stack(n, *rule(n, generic))
+
+
+def _one_faithful(n: np.ndarray, index: int) -> tuple:
+    """Rule `index` of _ONE_FAITHFUL and the generic value 2 max(|n|, 1/|n|) + 1 of each n.
+
+    It is 1 at n = 0 and otherwise over twice both moduli that would make its
+    branch pair faithful, so that pair stays unfaithful at any |n|; NonFinite where it overflows.
+    """
+    rule, _ = _choice(_ONE_FAITHFUL, index, not np.all(n))
+    with np.errstate(over="ignore"):  # 1/|n| is inf below |n| = 1 / DBL_MAX
+        modulus = np.hypot(n.real, n.imag)
+        inverse = np.divide(1.0, modulus, out=np.zeros_like(modulus), where=modulus != 0.0)
+        generic = 2.0 * np.maximum(modulus, inverse) + 1.0
+    if np.isinf(generic).any():
+        raise NonFinite("the generic value 2 max(|n|, 1/|n|) + 1 overflows a float "
+                        f"at |n| = {float(modulus[np.isinf(generic)][0])!r}")
+    return rule, generic
 
 
 def one_faithful_labels(index: int) -> str:
@@ -616,20 +620,15 @@ def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int 
     report = stack.report(0)
     records = []
     for k, label in enumerate(BASIS_LABELS):
-        prob = float(batch.probabilities[0, k])
-        faithful = label in report.faithful_outcomes
-        correction = batch.corrections[k]
         fid = float(batch.fidelities[0, k])
-        if math.isnan(fid):
-            records.append(OutcomeRecord(label, prob, faithful, correction, None, None))
-            continue
-        bob = PureState(("2",), batch.bob[0, k])
-        records.append(OutcomeRecord(label, prob, faithful, correction, bob, fid))
+        kept = not math.isnan(fid)
+        records.append(OutcomeRecord(label, float(batch.probabilities[0, k]), label in report.faithful_outcomes,
+                                     batch.corrections[k], PureState(("2",), batch.bob[0, k]) if kept else None,
+                                     fid if kept else None))
     if shots is None:
         return RunResult(tuple(records), report)
     shots = _shot_count(shots, 1)
-    if seed is None:
-        seed = 0
+    seed = 0 if seed is None else seed
     rng = np.random.default_rng(seed)
     indices = np.concatenate(list(sample_outcomes(batch.probabilities, shots, rng)))
     labels = tuple(_LABEL_ARRAY[indices].tolist())
@@ -646,6 +645,5 @@ def measured_probabilities(input_amps, params: ProtocolParams) -> dict:
     route for verification.
     """
     state = joint_state(input_amps, params.n)
-    basis = general_basis(params.basis_params)
-    outcomes = measure.project_all(state, ("a", "1"), basis)
+    outcomes = measure.project_all(state, ("a", "1"), general_basis(params.basis_params))
     return {o.label: o.probability for o in outcomes}

@@ -236,6 +236,19 @@ def test_subnormal_branch_probabilities_leave_stderr_empty(argv):
         assert json.loads(proc.stdout)["regime"] == "Probabilistic(k=2)"
 
 
+@pytest.mark.parametrize("argv,err", [
+    # |n| overflows hypot: numpy once warned before the message
+    (["classify", "--n", "1.5e308+1.5e308i", "--l", "1", "--p", "1"],
+     "teleportrix: n = (1.5e+308+1.5e+308j) is too large: a power of |n| overflows a float\n"),
+    # 1/|n| overflows at a subnormal |n|: numpy once warned, then blamed n, ell and p
+    (["sweep", "--n-grid", "1e-330:1e-320:1e-321", "--regime", "probabilistic1"],
+     "teleportrix: the generic value 2 max(|n|, 1/|n|) + 1 overflows a float at |n| = 1e-321\n"),
+])
+def test_overflow_exits_2_with_one_stderr_line_and_no_warning(argv, err):
+    proc = _run_cli(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
 # --- the one-pass column format ----------------------------------------------
 
 # The bounds of the pass at every precision d, and values that round onto

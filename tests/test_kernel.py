@@ -22,6 +22,19 @@ class TestCompleteness:
         with pytest.raises(CompletenessError):
             teleport.check_completeness(scaled)
 
+    def test_off_diagonal_total_is_checked(self):
+        # the Grams' diagonals sum to I, their off-diagonals to 1
+        mats = np.array([[[1, 1], [0, 0]], [[0, 0], [1, 1]]]) / np.sqrt(2)
+        with pytest.raises(CompletenessError) as excinfo:
+            teleport.check_completeness(mats)
+        assert float(str(excinfo.value).rsplit(" ", 1)[1]) > 0.99
+
+    def test_branch_stack_checks_the_matrices_it_builds(self, monkeypatch):
+        entries = teleport._entries
+        monkeypatch.setattr(teleport, "_entries", lambda params: entries(params) * 1.001)
+        with pytest.raises(CompletenessError):
+            teleport.branch_stack([0.5], [0.5], [2])
+
     def test_empty_input_is_bad_input(self):
         with pytest.raises(BadInput):
             teleport.check_completeness([])

@@ -1,6 +1,7 @@
 """The stacked transfer-matrix path: validation, scale-invariant faithfulness,
 parameter overflow, and a property test against the scalar route."""
 
+import cmath
 import math
 
 import numpy as np
@@ -106,6 +107,14 @@ class TestScaleInvariantFaithfulness:
                 assert record.bob_state is not None
                 assert abs(record.fidelity - 1.0) < TOL_EQ
 
+    @pytest.mark.parametrize("off,faithful", [(1.0, False), (1e-8, False), (1e-10, True)])
+    def test_caller_gram_off_diagonal_counts(self, off, faithful):
+        # M^dag M = [[1, off], [off, 1]] for every scale: equal diagonals, so
+        # only the off-diagonal decides
+        mat = np.array([[1.0, off], [0.0, np.sqrt(1.0 - off * off)]])
+        for scale in (1.0, 1e-150):
+            assert teleport.is_faithful(TransferMatrix("x", scale * mat)) is faithful
+
     def test_faithfulness_is_relative_to_scale(self):
         assert teleport.is_faithful(TransferMatrix("x", 1e-150 * PAULI_X))
         assert not teleport.is_faithful(TransferMatrix("x", 1e-150 * np.diag([1.0, 0.25])))
@@ -200,3 +209,38 @@ def test_stacked_success_equals_scalar_route_and_closed_form(draws):
                          if tm.label in designated)
             assert got == scalar
             assert _closed_form_close(got, n, len(designated))
+
+
+_LOG_UNIFORM = st.tuples(st.floats(-100.0, 100.0), st.floats(0.0, 2.0 * math.pi))
+
+
+def _independent_gram_test(mats):
+    # tr(M^dag M) / 2 and the faithful test G / c = I within TOL_EQ, from an
+    # explicit matmul of the full 2x2 matrices
+    grams = np.matmul(mats.conj().swapaxes(-1, -2), mats)
+    c = (grams[..., 0, 0].real + grams[..., 1, 1].real) / 2.0
+    scale = np.where(c > 0.0, c, 1.0)[..., None, None]
+    deviation = np.hypot(grams.real / scale - np.eye(2), grams.imag / scale).max(axis=(-2, -1))
+    return c, (c > 0.0) & (deviation <= TOL_EQ)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM), min_size=1, max_size=20))
+def test_diagonal_grams_equal_an_independent_matmul(draws):
+    n, ell, p = (np.array([cmath.rect(10.0 ** e, phase) for e, phase in column]) for column in zip(*draws))
+    stacks = [(teleport.branch_stack(n, ell, p), None)]
+    for index in range(4):
+        stacks.append((teleport.two_faithful_stack(n, index), teleport.two_faithful_labels(index)))
+        stacks.append((teleport.one_faithful_stack(n, index), (teleport.one_faithful_labels(index),)))
+    for stack, named in stacks:
+        c, faithful = _independent_gram_test(stack.matrices)
+        assert np.all(np.abs(stack.probabilities - c) <= 4 * np.spacing(c))
+        assert np.array_equal(stack.faithful, faithful)
+        if named is not None:
+            # at |n| = 1 each condition coincides with its partner's, so
+            # the choice leaves more outcomes faithful; away from it, only
+            # the named ones
+            expected = np.array([label in named for label in ebasis.BASIS_LABELS])
+            assert np.all(stack.faithful[:, expected])
+            away = np.abs(np.log(np.abs(n))) > 1e-6
+            assert np.array_equal(stack.faithful[away], np.broadcast_to(expected, stack.faithful[away].shape))
