@@ -23,6 +23,7 @@ _REAL = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _RE_REAL = re.compile(rf"^({_REAL})$")
 _RE_IMAG = re.compile(rf"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?)i$")
 _RE_BOTH = re.compile(rf"^({_REAL})([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-])i$")
+MODULUS_BOUND = 1e154  # from this modulus up, a power may overflow: squared_moduli checks each value
 
 
 def parse_complex(text: str) -> complex:
@@ -122,7 +123,7 @@ def squared_moduli(rows: np.ndarray, names, power: int = 1) -> np.ndarray:
     """
     with np.errstate(over="ignore"):  # |z| above DBL_MAX: the per-entry check below raises NonFinite
         moduli = np.hypot(rows.real, rows.imag)
-    if not moduli.max() < 1e154 ** (1 / power):  # a power may overflow: the per-entry check raises
+    if not moduli.max() < MODULUS_BOUND ** (1 / power):  # a power may overflow: the per-entry check raises
         for name, row in zip(names, rows.tolist()):
             for z in row:
                 squared_modulus(z, name, power)

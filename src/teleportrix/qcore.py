@@ -13,6 +13,7 @@ never by comparing amplitudes componentwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -203,54 +204,39 @@ def _svd2(a: np.ndarray):
     """Closed-form singular value decomposition of a (..., 2, 2) complex stack.
 
     Returns (u, s, v) with a = u @ diag(s[..., 0], s[..., 1]) @ v^dag,
-    s[..., 0] >= s[..., 1] >= 0 and u, v unitary, solved from the
-    quadratic characteristic polynomial of a^dag a. Each branch of the
-    one-matrix recipe is an np.where on its threshold, and each value
-    takes that recipe's float operations (the determinant as Python's
-    complex multiply, norms as np.linalg.norm, products as matvec), so a
-    matrix gives the same bits whatever the stack.
+    s[..., 0] >= s[..., 1] >= 0 and u, v unitary. a is divided by its
+    largest real or imaginary part, so g = a^dag a cannot overflow. v1 is
+    the top eigenvector of g, off the row of g - lam1 that does not cancel
+    (lam1 = (g00 + g11) / 2 + hypot((g00 - g11) / 2, |g01|)); s1 = |a v1|,
+    u1 = a v1 / s1; u2 is u1's orthogonal turned to the phase of its overlap
+    with a v2, s2 that overlap's modulus (capped at s1 against rounding).
+    Each branch is an np.where, so a matrix gives the same bits whatever the stack.
     """
     a = np.asarray(a, dtype=complex)
+    scale = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1))
+    scale = np.where(scale > 0.0, scale, 1.0)[..., None, None]
+    # part by part: numpy's complex / real multiplies by 1 / scale, inf for a subnormal scale
+    a = a.real / scale + 1j * (a.imag / scale)
     g = np.matmul(a.conj().swapaxes(-1, -2), a)
     g00, g01, g10, g11 = (g[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    t = g00.real + g11.real
-    d = (g00.real * g11.real - g00.imag * g11.imag) - (g01.real * g10.real - g01.imag * g10.imag)
-    disc = np.sqrt(np.maximum(t * t - 4.0 * d, 0.0))
-    lam1 = np.maximum(0.5 * (t + disc), 0.0)
-    s1, s2 = np.sqrt(lam1), np.sqrt(np.maximum(0.5 * (t - disc), 0.0))
-    # Eigenvector of g for lam1: both candidate rows solve (g - lam1) v = 0,
-    # pick the numerically larger one; degenerate g is a multiple of I.
-    c1 = np.stack([g01, lam1 - g00], axis=-1)
-    c2 = np.stack([lam1 - g11, g10], axis=-1)
-    n1, n2 = rowwise_norm(c1), rowwise_norm(c2)
-    first = n1 >= n2
-    nv = np.where(first, n1, n2)[..., None]
-    # The branch not taken is computed too, and may divide by zero.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v1 = np.where(nv <= 1e-14 * np.maximum(t, 1.0)[..., None], _E0,
-                      np.where(first[..., None], c1, c2) / nv)
-        v2 = np.stack([-v1[..., 1].conj(), v1[..., 0].conj()], axis=-1)
-        u1 = matvec(a, v1) / s1[..., None]
-        u1 = np.where((s1 > 1e-12)[..., None], u1 / rowwise_norm(u1)[..., None], _E0)
-        u2 = matvec(a, v2) / s2[..., None]
-        u2 = u2 - rowwise_vdot(u1, u2)[..., None] * u1
-        n2 = rowwise_norm(u2)
-        # Rounding can leave s2 of a rank-one matrix above its floor with
-        # a v2 along u1, so that nothing of u2 is left; any unit vector
-        # orthogonal to u1 then serves, unless u1 is the floor's e0.
-        solved = (s2 > 1e-9 * np.maximum(s1, 1e-300)) & ((n2 > 0.0) | (s1 <= 1e-12))
-        u2 = np.where(solved[..., None], u2 / n2[..., None],
-                      np.stack([-u1[..., 1].conj(), u1[..., 0].conj()], axis=-1))
-    u, s, v = np.stack([u1, u2], axis=-1), np.stack([s1, s2], axis=-1), np.stack([v1, v2], axis=-1)
-    # Below the floor of s1, u1 = e0 whatever a is, and u2 can come out
-    # 0 / 0. The singular vectors of a are those of a / max|a|, whose s1
-    # is at least 1, so that second solve is finite.
-    if np.isnan(u).any():
-        redo = np.isnan(u).any(axis=(-2, -1)) & np.isfinite(a).all(axis=(-2, -1))
-        scale = np.abs(a[redo]).max(axis=(-2, -1))
-        u[redo], s[redo], v[redo] = _svd2(a[redo] / scale[:, None, None])
-        s[redo] *= scale[:, None]
-    return u, s, v
+    half = 0.5 * (g00.real - g11.real)
+    r = np.hypot(half, np.hypot(g01.real, g01.imag))
+    c = np.where((half <= 0.0)[..., None], np.stack([g01, r - half], axis=-1), np.stack([r + half, g10], axis=-1))
+    nv = np.hypot(np.hypot(c[..., 0].real, c[..., 0].imag), np.hypot(c[..., 1].real, c[..., 1].imag))[..., None]
+    # Branches not taken are computed too. Below the smallest normal nv, g is
+    # a multiple of I (any v1 serves), below the smallest normal s2 any phase
+    # does, and there numpy's complex / real overflows 1 / nv or 1 / s2.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v1 = np.where(nv >= sys.float_info.min, c / nv, _E0)
+        u1 = matvec(a, v1)
+        s1 = rowwise_norm(u1)
+        u1 = np.where((s1 > 0.0)[..., None], u1 / s1[..., None], _E0)
+        v2, perp = (np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1) for x in (v1, u1))
+        overlap = rowwise_vdot(perp, matvec(a, v2))
+        s2 = np.hypot(overlap.real, overlap.imag)
+        u2 = np.where((s2 >= sys.float_info.min)[..., None], overlap[..., None] * perp / s2[..., None], perp)
+    s = scale[..., 0] * np.stack([s1, np.minimum(s2, s1)], axis=-1)
+    return np.stack([u1, u2], axis=-1), s, np.stack([v1, v2], axis=-1)
 
 
 def schmidt(s: PureState) -> SchmidtForm:

@@ -34,7 +34,7 @@ array of G parameter tuples at once; transfer_matrices and
 protocol_branches are its batch of one, and sweeps over the resource
 parameter go through two_faithful_stack / one_faithful_stack.
 evaluate_inputs takes the one-tuple stack, computes its four polar
-corrections in one stacked closed-form SVD, and applies the matrices to
+corrections in closed form (_corrections), and applies the matrices to
 a whole (K, 2) batch of inputs at once. Shots against the batch come from
 one chunked draw over contiguous slices of the CDF columns:
 sample_outcomes yields the outcome index of every shot, count_outcomes
@@ -51,10 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measure, qcore
-from .complexfmt import finite_complex, finite_rows, squared_moduli, squared_modulus
+from .complexfmt import MODULUS_BOUND, finite_complex, finite_rows, squared_moduli, squared_modulus
 from .ebasis import BASIS_LABELS, BasisParams, general_basis, regime_name, resource_state
 from .errors import BadInput, CompletenessError, NonFinite, SingularMatrix
-from .qcore import PureState, _svd2, matvec, rowwise_norm, rowwise_vdot
+from .qcore import PureState, matvec, rowwise_norm, rowwise_vdot
 from .tolerances import TOL_EQ, TOL_NORM, TOL_PROB
 
 INFINITE = math.inf
@@ -222,7 +222,6 @@ def branch_stack(n, ell, p) -> BranchStack:
 _NONZERO = np.array([0, 3, 4, 7, 13, 14, 9, 10])
 # Rows of _entries in column 0 of M_0..M_3, then in column 1.
 _DIAGONAL = np.array([0, 2, 7, 5, 1, 3, 6, 4])
-_EYE = np.eye(2)
 # Outcome labels as an object array, so a whole index array maps to
 # labels in one indexing step.
 _LABEL_ARRAY = np.array(BASIS_LABELS, dtype=object)
@@ -323,28 +322,38 @@ def branch_probability(tm: TransferMatrix) -> float:
 
 
 def _corrections(mats) -> np.ndarray:
-    """Adjoints of the polar unitary factors of a (..., 2, 2) stack.
+    """Adjoints U of the polar unitary factors of a (..., 2, 2) stack; I for a zero matrix.
 
-    For a faithful matrix, U M is proportional to the identity, so Bob's
-    application of U restores the input exactly. In the maximally
-    entangled case the four corrections are the Pauli operators up to
-    global phase. The same polar recipe is applied to unfaithful
-    branches; it is input independent and gives a principled fidelity
-    number there too. A zero matrix gets the identity.
+    U M is Hermitian positive semidefinite, c I for a faithful M, so Bob's U
+    restores the input exactly. With M = W P, P = sqrt(M^dag M), Cayley-
+    Hamilton gives P + det(P) P^-1 = tr(P) I, and W P^-1 = adj(M)^dag /
+    conj(det M), so W = (M + e adj(M)^dag) / (s1 + s2) with e = det M /
+    |det M| and (s1 + s2)^2 = ||M||_F^2 + 2 |det M|. If det M = 0, then M =
+    s u v^dag, adj(M)^dag = s u' v'^dag with u', v' orthogonal to u, v, and
+    W is unitary for any unit e; e = 1 is taken. M is first divided by its
+    largest real or imaginary part, so nothing overflows, and each product
+    is a real float * and + in a fixed order, so no BLAS kernel or complex-
+    multiply dispatch sets the bits. det's parts are divided by their larger
+    modulus before |det| is formed: a subnormal |det| has lost e's bits.
     """
     mats = np.asarray(mats, dtype=complex)
-    scale = np.abs(mats).max(axis=(-2, -1))[..., None, None]
-    # _svd2 has absolute floors: 1e-12 on s1 and 1e-14 on the eigenvector
-    # of the Gram, whose trace t is at least scale^2. The polar factor of
-    # M is that of M / scale, so a small M is rescaled first. From an
-    # entry of 1e-6 up, t >= 1e-12 puts the eigenvector floor at 1 % of t
-    # or less; below about 1e-7 it sends the eigenvector of a generic M
-    # to e0. The Gram squares the entries and its determinant squares them
-    # again, which overflows from about 1e77, so a large M is rescaled
-    # too; up to 1e64 the recipe stays finite and keeps its bits.
-    as_is = (scale >= 1e-6) & (scale <= 1e64)
-    u, _, v = _svd2(np.where(as_is, mats, mats / np.where(scale > 0.0, scale, 1.0)))
-    return np.where(scale > 0.0, np.matmul(v, u.conj().swapaxes(-1, -2)), _EYE)
+    scale = np.maximum(np.abs(mats.real), np.abs(mats.imag)).max(axis=(-2, -1))[..., None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 where det or M is 0, replaced
+        (ar, br), (cr, dr) = np.moveaxis(mats.real / scale, (-2, -1), (0, 1))
+        (ai, bi), (ci, di) = np.moveaxis(mats.imag / scale, (-2, -1), (0, 1))
+        det_re = (ar * dr - ai * di) - (br * cr - bi * ci)
+        det_im = (ar * di + ai * dr) - (br * ci + bi * cr)
+        big = np.maximum(np.abs(det_re), np.abs(det_im))
+        xr, xi = np.where(big > 0.0, det_re / big, 1.0), np.where(big > 0.0, det_im / big, 0.0)
+        modulus = np.sqrt(xr * xr + xi * xi)
+        er, ei = xr / modulus, xi / modulus
+        norm = ((ar * ar + ai * ai) + (br * br + bi * bi)) + ((cr * cr + ci * ci) + (dr * dr + di * di))
+        total = np.sqrt(norm + 2.0 * big * modulus)[..., None]
+        # U = (A^dag + conj(e) adj A) / (s1 + s2) for A = [[a, b], [c, d]], real and imaginary parts
+        parts = np.stack([ar + (er * dr + ei * di), (er * di - ei * dr) - ai, cr - (er * br + ei * bi),
+                          -ci - (er * bi - ei * br), br - (er * cr + ei * ci), -bi - (er * ci - ei * cr),
+                          dr + (er * ar + ei * ai), (er * ai - ei * ar) - di], axis=-1) / total
+    return np.where(scale == 0.0, qcore.PAULI_I, parts.view(complex).reshape(mats.shape))
 
 
 def correction_unitary(tm: TransferMatrix) -> np.ndarray:
@@ -451,16 +460,19 @@ def _one_faithful(n: np.ndarray, index: int) -> tuple:
     """Rule `index` of _ONE_FAITHFUL and the generic value 2 max(|n|, 1/|n|) + 1 of each n.
 
     It is 1 at n = 0 and otherwise over twice both moduli that would make its
-    branch pair faithful, so that pair stays unfaithful at any |n|; NonFinite where it overflows.
+    branch pair faithful, so that pair stays unfaithful at any |n|; NonFinite names
+    it (or n, if |n|^2 overflows) at the first n where it reaches MODULUS_BOUND.
     """
     rule, _ = _choice(_ONE_FAITHFUL, index, not np.all(n))
     with np.errstate(over="ignore"):  # 1/|n| is inf below |n| = 1 / DBL_MAX
         modulus = np.hypot(n.real, n.imag)
         inverse = np.divide(1.0, modulus, out=np.zeros_like(modulus), where=modulus != 0.0)
         generic = 2.0 * np.maximum(modulus, inverse) + 1.0
-    if np.isinf(generic).any():
+    too_large = np.flatnonzero(~(generic < MODULUS_BOUND))
+    if too_large.size:
+        squared_modulus(complex(n[too_large[0]]), "n")  # names n where n itself overflows
         raise NonFinite("the generic value 2 max(|n|, 1/|n|) + 1 overflows a float "
-                        f"at |n| = {float(modulus[np.isinf(generic)][0])!r}")
+                        f"at |n| = {float(modulus[too_large[0]])!r}")
     return rule, generic
 
 

@@ -1,10 +1,12 @@
-"""branch_stack gives the same bits under every BLAS kernel and SIMD dispatch.
+"""branch_stack and the polar corrections give the same bits under every
+BLAS kernel and SIMD dispatch.
 
 numpy's bundled OpenBLAS picks its kernel from the CPU at run time
 (OPENBLAS_CORETYPE overrides the pick), and numpy's own loops dispatch on
 the CPU's SIMD features (NPY_DISABLE_CPU_FEATURES turns some off). One
 child interpreter per setting hashes the probabilities and faithful flags
-of branch_stack over complex log-uniform tuples; every hash must be equal.
+of branch_stack over complex log-uniform tuples, and the corrections of
+their matrices; every hash must be equal.
 The kernels and features named are x86-64 ones.
 """
 
@@ -33,6 +35,7 @@ tuples = [(n, n if i % 2 else l, p) for i, (n, l, p) in enumerate(tuples)]
 stack = teleport.branch_stack(*zip(*tuples))
 digest = hashlib.sha256(np.ascontiguousarray(stack.probabilities).tobytes())
 digest.update(np.ascontiguousarray(stack.faithful).tobytes())
+digest.update(teleport._corrections(stack.matrices).tobytes())
 print(digest.hexdigest())
 """
 

@@ -243,6 +243,9 @@ def test_subnormal_branch_probabilities_leave_stderr_empty(argv):
     # 1/|n| overflows at a subnormal |n|: numpy once warned, then blamed n, ell and p
     (["sweep", "--n-grid", "1e-330:1e-320:1e-321", "--regime", "probabilistic1"],
      "teleportrix: the generic value 2 max(|n|, 1/|n|) + 1 overflows a float at |n| = 1e-321\n"),
+    # a power of the generic value 2e200 overflows: the message once named p = 2e200
+    (["sweep", "--n-grid", "1e-200:2e-200:1e-200", "--regime", "probabilistic1"],
+     "teleportrix: the generic value 2 max(|n|, 1/|n|) + 1 overflows a float at |n| = 1e-200\n"),
 ])
 def test_overflow_exits_2_with_one_stderr_line_and_no_warning(argv, err):
     proc = _run_cli(argv)

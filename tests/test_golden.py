@@ -81,10 +81,11 @@ GOLDEN = [
      "d2d03d039bcf05600190e006bb643f4697abaa0062e0a2341cf209aa94d1fa21"),
     (["classify", *_NO_FAITHFUL, "--output", "csv"],
      "8deedb1405fb0bdb520d84eaf189e81c4349b201e54d01fbe497c7cc8f94b381"),
-    # exhaustive fixed input as CSV: empty empirical_frequency cells
+    # exhaustive fixed input as CSV: empty empirical_frequency cells; re-recorded
+    # for the closed-form polar correction, whose faithful fidelity here is 1.0
     (["teleport", "--n", "0.3+0.4i", "--l", "0.3+0.4i", "--p", "3", "--alpha", "0.6",
       "--beta", "0.8i", "--output", "csv", "--precision", "17"],
-     "35594627450808ea90af938308d8ef8f3d6c527b8c8c47b18b3d8392231efe5f"),
+     "6e655534c37e8976aa1109802b1e9b3234fe1586feaf55a8da304036fdb9426e"),
     # two outcomes below TOL_PROB: null entropy and target
     (["swap", *_DEAD_OUTCOMES],
      "8ab59cb2f9edef365cceffe0372a589a9b79d7755098e7cfa40d54089e53f5f7"),

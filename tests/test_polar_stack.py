@@ -1,6 +1,9 @@
-"""The stacked closed-form SVD and polar corrections against the one-matrix
-recipe they replaced: bit-for-bit u, s, v and corrections, whatever the
-stack."""
+"""The stacked closed-form SVD and polar corrections against their
+one-matrix references: bit-for-bit u, s, v and corrections, whatever the
+stack; and both as exact decompositions at any scale."""
+
+import cmath
+import math
 
 import numpy as np
 import pytest
@@ -23,10 +26,8 @@ def assert_matches_reference(mats):
     u, s, v = qcore._svd2(mats)
     corrections = teleport._corrections(mats)
     for i, m in enumerate(mats):
-        # the bare recipe divides 0 by 0 on some matrices below its floors
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ru, rs, rv = reference_svd2(m)
-            correction = reference_correction(m)
+        ru, rs, rv = reference_svd2(m)
+        correction = reference_correction(m)
         assert np.array_equal(_bits(u[i]), _bits(ru))
         assert np.array_equal(s[i].view(np.int64), np.array(rs).view(np.int64))
         assert np.array_equal(_bits(v[i]), _bits(rv))
@@ -102,9 +103,9 @@ def test_schmidt_is_the_reference_decomposition():
 
 @pytest.mark.parametrize("scale", [1e70, 1e160, 1e300, 2.0**600])
 def test_large_matrices_are_rescaled(scale):
-    # the Gram of an entry above about 1e77 overflows; the polar factor
-    # of M is that of M / max|M|, and with the largest entry of modulus 1
-    # that division undoes a power-of-two scale exactly
+    # the polar factor of M is that of M divided by its largest part,
+    # and with that part 1 the division undoes a power-of-two scale
+    # exactly
     rng = np.random.default_rng(56)
     mats = _gaussian(rng, 40)
     mats /= 2.0 * np.abs(mats).max(axis=(1, 2))[:, None, None]
@@ -122,10 +123,9 @@ def test_large_matrices_are_rescaled(scale):
 
 
 def test_corrections_are_scale_invariant():
-    # The polar factor of s A is that of A. Without the rescale, the
-    # absolute eigenvector floor of _svd2 sends v1 to e0 for largest
-    # entries between about 1e-12 and 1e-7, and the antidiagonal matrix at
-    # exactly 1e-12 gives NaN.
+    # The polar factor of s A is that of A, and the closed form divides A
+    # by its largest part first, so no scale from 1e-300 up over- or
+    # underflows; the antidiagonal matrix at 1e-12 once gave NaN.
     rng = np.random.default_rng(57)
     antidiagonal = np.array([[0, 1j], [1, 0]])
     mats = np.concatenate([_gaussian(rng, 40), [antidiagonal]])
@@ -139,19 +139,21 @@ def test_corrections_are_scale_invariant():
     np.testing.assert_allclose(product, product.conj().swapaxes(-1, -2), rtol=0, atol=1e-12)
 
 
-def _assert_polar_factor(u, a):
-    """u is a finite unitary and u a is Hermitian positive semidefinite."""
+def _assert_polar_factor(u, a, atol=1e-12):
+    """u is a finite unitary and u a / max|a| is Hermitian positive semidefinite, to atol."""
     assert np.all(np.isfinite(u))
     eye = np.broadcast_to(PAULI_I, u.shape)
-    np.testing.assert_allclose(u @ u.conj().swapaxes(-1, -2), eye, rtol=0, atol=1e-12)
-    p = u @ a / np.abs(a).max(axis=(-2, -1))[..., None, None]
-    np.testing.assert_allclose(p, p.conj().swapaxes(-1, -2), rtol=0, atol=1e-12)
-    assert np.all(np.linalg.eigvalsh(p) >= -1e-12)
+    np.testing.assert_allclose(u @ u.conj().swapaxes(-1, -2), eye, rtol=0, atol=atol)
+    # parts apart: numpy's complex / real is inf for a subnormal max|a|
+    largest = np.abs(a).max(axis=(-2, -1))[..., None, None]
+    p = u @ (a.real / largest + 1j * (a.imag / largest))
+    np.testing.assert_allclose(p, p.conj().swapaxes(-1, -2), rtol=0, atol=atol)
+    assert np.all(np.linalg.eigvalsh(p) >= -atol)
 
 
 def test_svd_below_the_floor_of_s1_has_no_nan():
-    # Below s1 = 1e-12, u1 is e0 whatever a is; for this matrix a v2 lies
-    # along e0 too, and the second column of u was 0 / 0.
+    # Below an absolute floor of 1e-12 on s1, u1 was once e0 whatever a
+    # was; for this matrix the second column of u then came out 0 / 0.
     antidiagonal = np.array([[0, 1j], [1, 0]])
     mats = np.array([s * antidiagonal for s in (1e-13, 1e-20, 1e-150)])
     u, s, v = qcore._svd2(mats)
@@ -160,9 +162,8 @@ def test_svd_below_the_floor_of_s1_has_no_nan():
 
 
 def test_rank_one_corrections_have_no_nan():
-    # Rounding leaves s2 of this rank-one matrix above its floor at some
-    # scales, with a v2 along u1; _corrections was all NaN at 169 of these
-    # scales, the three named below among them.
+    # the SVD route was all NaN at 169 of these scales, the three named
+    # below among them
     rank_one = np.outer([1, 2j], [3, 1 - 1j])
     scales = 10.0 ** np.arange(-300.0, 64.25, 0.25)
     assert np.all(np.isfinite(teleport._corrections(scales[:, None, None] * rank_one)))
@@ -196,3 +197,44 @@ def test_property_matches_reference_at_any_scale(parts, zeros):
     mat = (values[:4] + 1j * values[4:]).reshape(1, 2, 2)
     mat.reshape(-1)[:zeros] = 0.0
     assert_matches_reference(mat)
+
+
+_EXPONENT = st.floats(-150.0, 150.0)
+_PHASE = st.floats(0.0, 2.0 * math.pi)
+_UNIT = st.floats(-1.0, 1.0)
+_RATIO = st.one_of(st.just(0.0), st.floats(-20.0, 0.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_EXPONENT, _PHASE), min_size=3, max_size=3),
+       st.lists(st.tuples(_UNIT, _UNIT), min_size=8, max_size=8),
+       _RATIO, st.floats(-300.0, 300.0))
+def test_property_corrections_are_exact_polar_factors(params, parts, ratio, exponent):
+    # a protocol tuple with |n|, |l|, |p| log-uniform in 1e-150..1e150,
+    # and a caller matrix x y^T + ratio w z^T at scale 10^exponent: rank
+    # one at ratio 0, near rank one (s2 / s1 about ratio) down to 1e-20,
+    # Gaussian-like at ratio 1
+    n, ell, p = (10.0**e * cmath.exp(1j * phase) for e, phase in params)
+    stack = teleport.branch_stack([n], [ell], [p])
+    _assert_polar_factor(teleport._corrections(stack.matrices), stack.matrices, atol=1e-14)
+    x, y, w, z = np.array([complex(re, im) for re, im in parts]).reshape(4, 2)
+    mat = 10.0**exponent * (np.outer(x, y) + ratio * np.outer(w, z))
+    if np.abs(mat).max() > 0.0:
+        _assert_polar_factor(teleport._corrections(mat), mat, atol=1e-14)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.floats(-8.0, 8.0), _PHASE), min_size=4, max_size=4), _RATIO, _PHASE)
+def test_property_schmidt_bases_are_unitary_and_reconstruct(moduli, ratio, phase):
+    # x (x) y with log-uniform amplitudes plus ratio times x' (x) y', x'
+    # and y' orthogonal to x and y: a product state at ratio 0, near
+    # product below 1, maximally entangled (s1 = s2) at 1
+    x, y = np.array([10.0**e * cmath.exp(1j * theta) for e, theta in moduli]).reshape(2, 2)
+    x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+    orthogonal = np.kron([-x[1].conjugate(), x[0].conjugate()], [-y[1].conjugate(), y[0].conjugate()])
+    amps = np.kron(x, y) + ratio * cmath.exp(1j * phase) * orthogonal
+    state = make_state(("a", "b"), amps)
+    form = qcore.schmidt(state)
+    for basis in (form.basis_a, form.basis_b):
+        np.testing.assert_allclose(basis.conj().T @ basis, PAULI_I, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(form.reconstruct(), state.amps, rtol=0, atol=1e-12)

@@ -167,6 +167,16 @@ class TestOverflowHelper:
         with pytest.raises(NonFinite, match=r"^p = "):
             teleport.branch_stack([1, 1], [1, 1], [1, 1e200])
 
+    @pytest.mark.parametrize("index", range(4))
+    def test_one_faithful_message_names_the_generic_value(self, index):
+        # 1/|n| = 1e200 is finite, but a power of the generic value 2e200
+        # overflows; the error once named l or p = 2e200 instead
+        message = r"^the generic value 2 max\(\|n\|, 1/\|n\|\) \+ 1 overflows a float at \|n\| = 1e-200$"
+        with pytest.raises(NonFinite, match=message):
+            teleport.one_faithful_choice(1e-200, index)
+        with pytest.raises(NonFinite, match=message):
+            teleport.one_faithful_stack([0.5, 1e-200], index)
+
     def test_array_form_matches_scalar_bits(self):
         rng = np.random.default_rng(42)
         z = (rng.normal(size=2000) + 1j * rng.normal(size=2000)) * 10.0 ** rng.uniform(-100, 100, 2000)
