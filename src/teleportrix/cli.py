@@ -150,25 +150,73 @@ def _cells(values, digits, csv: bool) -> list:
 
 
 def _column(values, digits, csv: bool) -> list:
-    """_cells of a column, in one pass where that is exact.
-
-    repr(round(v, d)) is the "%.{d}f" text of v less its trailing zeros
-    when that decimal D is 0 or in [1e-4, 10^(15-d)]: both come from
-    CPython's correctly rounded dtoa, D has at most 15 significant digits
-    so it is the shortest decimal that maps to float(D) (DBL_DIG), and
-    repr writes floats in [1e-4, 1e16) positionally; |v| < 10^(15-d)
-    keeps |D| <= 10^(15-d). A column of up to four rows (every table but
-    the sweep's) takes _cells, whose fixed cost is lower."""
-    bound = 10.0 ** (15 - digits)
-    if (sys.float_repr_style == "short" and len(values) > 4 and set(map(type, values)) == {float}
-            and math.isfinite(sum(values)) and -bound < min(values) and max(values) < bound):
-        text = "," + (f"%.{digits}f," * len(values)) % tuple(values)
-        for run in (16, 8, 4, 2, 1):  # strips up to 31 trailing zeros
-            text = text.replace("0" * run + ",", ",")
-        text = text.replace(".,", ".0,")
-        if ",0.0000" not in text and ",-0.0000" not in text:  # no nonzero D below 1e-4
-            return text[1:-1].split(",")
+    """_cells of a column: a float64 array of more than four rows (a sweep
+    column) by _fixed_point where that is exact, anything else (the other
+    tables have at most four rows) value by value."""
+    if isinstance(values, np.ndarray):
+        if len(values) > 4 and sys.float_repr_style == "short":
+            cells = _fixed_point(values, digits)
+            if cells is not None:
+                return cells
+        values = values.tolist()
     return _cells(values, digits, csv)
+
+
+def _halves(x):
+    """Veltkamp's split of x into two halves of at most 26 bits, x = high + low."""
+    scaled = 134217729.0 * x  # 2^27 + 1
+    high = scaled - (scaled - x)
+    return high, x - high
+
+
+def _fixed_point(values: np.ndarray, d: int):
+    """repr(round(v, d)) of each v, as the digits of D = round(v 10^d), or
+    None unless every |v| < 10^(15-d) and every D is 0 or |D| >= 10^(d-4).
+
+    product + error is v 10^d exactly (Dekker's two-product), so D is
+    rint(product), which rounds half-integers to even, except at a
+    half-integer product that v 10^d is not: the sign of error picks the
+    side. D has at most 15 significant digits, so (DBL_DIG) it is the
+    shortest decimal of float(D / 10^d), which repr writes positionally in
+    [1e-4, 1e16). README "Emission" gives the argument in full.
+    """
+    if not np.all(np.abs(values) < 10.0 ** (15 - d)):  # also keeps |D| <= 10^15
+        return None
+    scale = 10.0 ** d
+    product = values * scale
+    (high, low), (scale_high, scale_low) = _halves(values), _halves(scale)
+    error = ((high * scale_high - product) + high * scale_low + low * scale_high) + low * scale_low
+    rounded = np.rint(product)
+    half = product - rounded
+    rounded += (half == 0.5) & (error > 0)
+    rounded -= (half == -0.5) & (error < 0)
+    rounded = np.abs(rounded)
+    if np.any((rounded > 0) & (rounded < 10.0 ** (d - 4))):  # repr gives these an exponent
+        return None
+    # One column of characters per value: the sign, max(16 - d, 1) integer
+    # digits, the point, d fraction digits and a comma. A character left
+    # out is 0, so dropping the zeros leaves each value's text.
+    point = max(17 - d, 2)
+    text = np.empty((point + d + 2, len(values)), np.uint8)
+    magnitude = rounded.astype(np.int64)
+    for row in range(point + d, 0, -1):
+        if row != point:
+            quotient = magnitude // 10
+            text[row] = magnitude - quotient * 10
+            magnitude = quotient
+    text += ord("0")
+    # leading zeros are left out, the units digit is kept
+    text[1:point - 1] *= rounded >= 10.0 ** np.arange(d + point - 2, d, -1)[:, None]
+    # trailing zeros are left out, the first fraction digit is kept
+    kept = np.zeros(len(values), bool)
+    for row in range(point + d, point + 1, -1):
+        kept |= text[row] != ord("0")
+        text[row] *= kept
+    text[0] = np.signbit(values) * ord("-")
+    text[point] = ord(".")
+    text[-1] = ord(",")
+    chars = text.T.ravel()
+    return chars[chars != 0].tobytes().decode("ascii").split(",")[:-1]
 
 
 def _text(value, csv: bool) -> str:
@@ -399,14 +447,13 @@ def _cmd_sweep(args):
         inverse = np.divide(1.0, success, out=np.full_like(success, math.inf), where=success > 0.0)
     columns = {"n": grid, "success_probability": success, "repetitions": _repetitions(grid),
                "inverse_success": inverse}
-    table = {name: column.tolist() for name, column in columns.items()}
     report = {
         "command": "sweep",
         "params": {"n_grid": args.n_grid, "regime": args.regime},
         "seed": None,
-        "rows": table,
+        "rows": columns,
     }
-    return _emit(args, report, table, "rows")
+    return _emit(args, report, columns, "rows")
 
 
 def _repetitions(grid: np.ndarray) -> np.ndarray:

@@ -471,8 +471,8 @@ def _one_faithful(n: np.ndarray, index: int) -> tuple:
     too_large = np.flatnonzero(~(generic < MODULUS_BOUND))
     if too_large.size:
         squared_modulus(complex(n[too_large[0]]), "n")  # names n where n itself overflows
-        raise NonFinite("the generic value 2 max(|n|, 1/|n|) + 1 overflows a float "
-                        f"at |n| = {float(modulus[too_large[0]])!r}")
+        raise NonFinite("the generic value 2 max(|n|, 1/|n|) + 1 is too large at "
+                        f"|n| = {float(modulus[too_large[0]])!r}: it or a power of it overflows a float")
     return rule, generic
 
 

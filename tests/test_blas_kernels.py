@@ -1,12 +1,15 @@
-"""branch_stack and the polar corrections give the same bits under every
-BLAS kernel and SIMD dispatch.
+"""branch_stack, the polar corrections and the sweep's column text give the
+same bits under every BLAS kernel and SIMD dispatch.
 
 numpy's bundled OpenBLAS picks its kernel from the CPU at run time
 (OPENBLAS_CORETYPE overrides the pick), and numpy's own loops dispatch on
 the CPU's SIMD features (NPY_DISABLE_CPU_FEATURES turns some off). One
 child interpreter per setting hashes the probabilities and faithful flags
-of branch_stack over complex log-uniform tuples, and the corrections of
-their matrices; every hash must be equal.
+of branch_stack over complex log-uniform tuples, the corrections of their
+matrices, and cli._column of float64 columns at 6, 12 and 17 digits
+(exact decimal ties, their neighbours and negative values among them);
+every hash must be equal. The column text comes from exactly rounded
+elementwise operations only, so no dispatch may change it.
 The kernels and features named are x86-64 ones.
 """
 
@@ -25,7 +28,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _CHILD = """
 import cmath, hashlib, math, random
 import numpy as np
-from teleportrix import teleport
+from teleportrix import cli, teleport
 rnd = random.Random(61)
 def draw():
     return cmath.rect(10.0 ** rnd.uniform(-3.0, 3.0), rnd.uniform(0.0, 2.0 * math.pi))
@@ -36,6 +39,16 @@ stack = teleport.branch_stack(*zip(*tuples))
 digest = hashlib.sha256(np.ascontiguousarray(stack.probabilities).tobytes())
 digest.update(np.ascontiguousarray(stack.faithful).tobytes())
 digest.update(teleport._corrections(stack.matrices).tobytes())
+for digits in (6, 12, 17):
+    column = [10.0 ** rnd.uniform(-3.0, 15 - digits - 0.01) for _ in range(2000)]
+    # multiples of 2^-(digits + 1): exact ties at `digits` places where odd
+    ties = [math.ldexp(math.trunc(math.ldexp(x, digits + 1)), -(digits + 1)) for x in column[:500]]
+    column += ties + [math.nextafter(t, 0.0) for t in ties] + [math.nextafter(t, math.inf) for t in ties]
+    column = np.array([v if i % 3 else -v for i, v in enumerate(column)])
+    cells = cli._column(column, digits, False)
+    # the fixed-point kernel gave them, and they are repr(round(v, digits))
+    assert cli._fixed_point(column, digits) == cells == [repr(round(v, digits)) for v in column.tolist()]
+    digest.update(",".join(cells).encode())
 print(digest.hexdigest())
 """
 

@@ -1,5 +1,5 @@
 """The CLI front end: one parser per process, the sweep emitter against the
-generic JSON/CSV route it replaced, the one-pass column format against
+generic JSON/CSV route it replaced, the fixed-point column format against
 repr(round(v, d)), and clean exits for an unwritable --out path and a
 malformed TELEPORTRIX_SEED.
 """
@@ -242,17 +242,19 @@ def test_subnormal_branch_probabilities_leave_stderr_empty(argv):
      "teleportrix: n = (1.5e+308+1.5e+308j) is too large: a power of |n| overflows a float\n"),
     # 1/|n| overflows at a subnormal |n|: numpy once warned, then blamed n, ell and p
     (["sweep", "--n-grid", "1e-330:1e-320:1e-321", "--regime", "probabilistic1"],
-     "teleportrix: the generic value 2 max(|n|, 1/|n|) + 1 overflows a float at |n| = 1e-321\n"),
+     "teleportrix: the generic value 2 max(|n|, 1/|n|) + 1 is too large at |n| = 1e-321: "
+     "it or a power of it overflows a float\n"),
     # a power of the generic value 2e200 overflows: the message once named p = 2e200
     (["sweep", "--n-grid", "1e-200:2e-200:1e-200", "--regime", "probabilistic1"],
-     "teleportrix: the generic value 2 max(|n|, 1/|n|) + 1 overflows a float at |n| = 1e-200\n"),
+     "teleportrix: the generic value 2 max(|n|, 1/|n|) + 1 is too large at |n| = 1e-200: "
+     "it or a power of it overflows a float\n"),
 ])
 def test_overflow_exits_2_with_one_stderr_line_and_no_warning(argv, err):
     proc = _run_cli(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
 
 
-# --- the one-pass column format ----------------------------------------------
+# --- the fixed-point column format -------------------------------------------
 
 # The bounds of the pass at every precision d, and values that round onto
 # them: 1e-4, the half unit 0.5 10^-d (below it a value rounds to 0) and
@@ -294,7 +296,7 @@ def test_column_pass_equals_rounded_repr_of_each_value(monkeypatch):
     cells = cli._cells
     fallbacks = []
     monkeypatch.setattr(cli, "_cells", lambda *args: fallbacks.append(args[1]) or cells(*args))
-    passes = []
+    passes, array_fallbacks = [], []
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(_column_values())
@@ -305,21 +307,28 @@ def test_column_pass_equals_rounded_repr_of_each_value(monkeypatch):
     @example([0.001, 0.002, -5e-05, 0.003, 0.004])
     @example([0.001, 0.002, 3, 0.003, 0.004])
     @example([0.001, 0.002, True, 0.003, 0.004])
+    # near-ties that rint(v * 10**6) alone rounds the wrong way: 6.707901
+    # and 0.226533 are right
+    @example([6.7079005, -6.7079005, 0.2265335, -0.2265335, 0.001])
     def check(values):
+        floats = all(type(v) is float for v in values)
         for digits in range(6, 18):
             for csv in (False, True):
+                expected = cells(values, digits, csv)
+                assert cli._column(values, digits, csv) == expected
+                if not floats:
+                    continue
                 before = len(fallbacks)
-                got = cli._column(values, digits, csv)
-                assert got == cells(values, digits, csv)
-                if all(type(v) is float and math.isfinite(v) for v in values):
+                got = cli._column(np.array(values), digits, csv)
+                assert got == expected
+                if all(math.isfinite(v) for v in values):
                     assert got == [repr(round(v, digits)) for v in values]
-                if len(fallbacks) == before:
-                    passes.append(digits)
+                (passes if len(fallbacks) == before else array_fallbacks).append(digits)
 
     check()
-    # neither path is vacuous at any precision
-    assert set(passes) == set(fallbacks) == set(range(6, 18))
-    assert len(passes) > 300 and len(fallbacks) > 300, (len(passes), len(fallbacks))
+    # neither path of an array is vacuous at any precision
+    assert set(passes) == set(array_fallbacks) == set(range(6, 18))
+    assert len(passes) > 300 and len(array_fallbacks) > 300, (len(passes), len(array_fallbacks))
 
 
 # --- clean exits -----------------------------------------------------------

@@ -171,7 +171,8 @@ class TestOverflowHelper:
     def test_one_faithful_message_names_the_generic_value(self, index):
         # 1/|n| = 1e200 is finite, but a power of the generic value 2e200
         # overflows; the error once named l or p = 2e200 instead
-        message = r"^the generic value 2 max\(\|n\|, 1/\|n\|\) \+ 1 overflows a float at \|n\| = 1e-200$"
+        message = (r"^the generic value 2 max\(\|n\|, 1/\|n\|\) \+ 1 is too large at \|n\| = 1e-200: "
+                   r"it or a power of it overflows a float$")
         with pytest.raises(NonFinite, match=message):
             teleport.one_faithful_choice(1e-200, index)
         with pytest.raises(NonFinite, match=message):
