@@ -143,23 +143,22 @@ def _resolve_seed(args) -> int:
 
 
 def _cells(values, digits, csv: bool) -> list:
-    """Report values as text: a finite float is its rounded repr (inline:
-    the sweep has tens of thousands), the rest as _text."""
+    """Report values as text: a finite float is its rounded repr, the rest as _text."""
     return [repr(round(v, digits)) if isinstance(v, float) and not math.isinf(v) else _text(v, csv)
             for v in values]
 
 
-def _column(values, digits, csv: bool) -> list:
-    """_cells of a column: a float64 array of more than four rows (a sweep
-    column) by _fixed_point where that is exact, anything else (the other
-    tables have at most four rows) value by value."""
-    if isinstance(values, np.ndarray):
-        if len(values) > 4 and sys.float_repr_style == "short":
-            cells = _fixed_point(values, digits)
-            if cells is not None:
-                return cells
-        values = values.tolist()
-    return _cells(values, digits, csv)
+def _column(values: np.ndarray, digits, csv: bool) -> np.ndarray:
+    """_cells of a float64 array as a (values, characters) uint8 matrix, 0
+    where a value has no character: _fixed_point's text, and _cells for
+    the values outside its range, NUL-padded, the matrix widened to fit."""
+    text, outside = _fixed_point(values, digits)
+    if outside.any():
+        cells = np.array(_cells(values[outside].tolist(), digits, csv), dtype="S")
+        width = max(cells.itemsize, text.shape[1])
+        text = np.pad(text, ((0, 0), (0, width - text.shape[1])))
+        text[outside] = cells.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    return text
 
 
 def _halves(x):
@@ -169,9 +168,12 @@ def _halves(x):
     return high, x - high
 
 
-def _fixed_point(values: np.ndarray, d: int):
-    """repr(round(v, d)) of each v, as the digits of D = round(v 10^d), or
-    None unless every |v| < 10^(15-d) and every D is 0 or |D| >= 10^(d-4).
+def _fixed_point(values: np.ndarray, d: int) -> tuple:
+    """repr(round(v, d)) of each v as a row of characters, 0 where there
+    is none, from the digits of D = round(v 10^d); and the mask of the
+    values outside the range where that is exact, whose rows mean nothing:
+    |v| >= 10^(15-d) (nan and inf too), 0 < |D| < 10^(d-4), or every value
+    unless repr writes the shortest round-tripping decimal ("short").
 
     product + error is v 10^d exactly (Dekker's two-product), so D is
     rint(product), which rounds half-integers to even, except at a
@@ -180,8 +182,9 @@ def _fixed_point(values: np.ndarray, d: int):
     shortest decimal of float(D / 10^d), which repr writes positionally in
     [1e-4, 1e16). README "Emission" gives the argument in full.
     """
-    if not np.all(np.abs(values) < 10.0 ** (15 - d)):  # also keeps |D| <= 10^15
-        return None
+    # the first test also keeps |D| <= 10^15
+    outside = ~(np.abs(values) < 10.0 ** (15 - d)) | (sys.float_repr_style != "short")
+    values = np.where(outside, 0.0, values)  # no inf or nan reaches the int64 cast
     scale = 10.0 ** d
     product = values * scale
     (high, low), (scale_high, scale_low) = _halves(values), _halves(scale)
@@ -191,13 +194,11 @@ def _fixed_point(values: np.ndarray, d: int):
     rounded += (half == 0.5) & (error > 0)
     rounded -= (half == -0.5) & (error < 0)
     rounded = np.abs(rounded)
-    if np.any((rounded > 0) & (rounded < 10.0 ** (d - 4))):  # repr gives these an exponent
-        return None
+    outside |= (rounded > 0) & (rounded < 10.0 ** (d - 4))  # repr gives these an exponent
     # One column of characters per value: the sign, max(16 - d, 1) integer
-    # digits, the point, d fraction digits and a comma. A character left
-    # out is 0, so dropping the zeros leaves each value's text.
+    # digits, the point and d fraction digits. A character left out is 0.
     point = max(17 - d, 2)
-    text = np.empty((point + d + 2, len(values)), np.uint8)
+    text = np.empty((point + d + 1, len(values)), np.uint8)
     magnitude = rounded.astype(np.int64)
     for row in range(point + d, 0, -1):
         if row != point:
@@ -214,9 +215,7 @@ def _fixed_point(values: np.ndarray, d: int):
         text[row] *= kept
     text[0] = np.signbit(values) * ord("-")
     text[point] = ord(".")
-    text[-1] = ord(",")
-    chars = text.T.ravel()
-    return chars[chars != 0].tobytes().decode("ascii").split(",")[:-1]
+    return text.T, outside
 
 
 def _text(value, csv: bool) -> str:
@@ -235,16 +234,44 @@ def _emit(args, report: dict, table: dict, key=None) -> str:
     """The report as JSON, or as CSV its table: column name -> one value per row."""
     digits = args.precision
     if args.output == "csv":
-        cells = [_column(column, digits, True) for column in table.values()]
-        return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
+        pieces = ["", *[","] * (len(table) - 1), "\n"]
+        return ",".join(table) + "\n" + _rows(list(table.values()), pieces, "", digits, True)
     return "".join(_json([], report, digits, "\n", key) + ["\n"])
+
+
+def _rows(columns: list, pieces: list, sep: str, digits, csv: bool) -> str:
+    """The table's rows joined by sep, each pieces[0] cell pieces[1] ... cell pieces[-1].
+
+    Float64 arrays of more than four rows (a sweep's columns) are laid out
+    as one character matrix, a row of it per table row, 0 where there is
+    no character: each piece is written once as a broadcast slice, each
+    column's _column text into its own slot, and one compress drops the
+    zeros. Any other table (teleport, swap and classify have at most four
+    rows) is one %-format of a row template per row, which is faster at
+    that size: _column costs about 0.1 ms a column whatever its length.
+    """
+    if not (isinstance(columns[0], np.ndarray) and len(columns[0]) > 4):
+        template = "%s".join(piece.replace("%", "%%") for piece in pieces)
+        cells = [_cells(column.tolist() if isinstance(column, np.ndarray) else column, digits, csv)
+                 for column in columns]
+        return sep.join([template] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+    count = len(columns[0])
+    blocks = [np.frombuffer(piece.encode(), np.uint8) for piece in [*pieces[:-1], pieces[-1] + sep]]
+    slots = [_column(column, digits, csv) for column in columns]
+    parts = [blocks[0], *chain.from_iterable(zip(slots, blocks[1:]))]
+    # row-major, which concatenate would not choose: the slots are transposed views
+    matrix = np.empty((count, sum(part.shape[-1] for part in parts)), np.uint8)
+    np.concatenate([np.broadcast_to(part, (count, part.shape[-1])) for part in parts], axis=1, out=matrix)
+    matrix[-1, matrix.shape[1] - len(sep):] = 0  # no sep after the last row
+    flat = matrix.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
 
 
 def _json(chunks: list, value, digits, pad, key=None) -> list:
     """Append value to chunks as json.dumps(value, indent=2) lays it out
     from indent pad, and return chunks: scalars and empty lists or dicts by
-    _cells, the columns at value[key] as the list of their rows from one row
-    template. One final join copies the text once (a sweep is megabytes)."""
+    _cells, the columns at value[key] as the list of their rows by _rows.
+    One final join copies the text once (a sweep is megabytes)."""
     inner = pad + "  "
     if isinstance(value, list) and value:
         for i, item in enumerate(value):
@@ -257,10 +284,9 @@ def _json(chunks: list, value, digits, pad, key=None) -> list:
             if name != key:
                 _json(chunks, item, digits, inner)
                 continue
-            names = [json.dumps(column).replace("%", "%%") for column in item]
-            row = "{" + ",".join(f"{inner}    {name}: %s" for name in names) + inner + "  }"
-            cells = [_column(column, digits, False) for column in item.values()]
-            rows = ("," + inner + "  ").join([row] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
+            heads = [f"{inner}    {json.dumps(column)}: " for column in item]
+            pieces = ["{" + heads[0], *["," + head for head in heads[1:]], inner + "  }"]
+            rows = _rows(list(item.values()), pieces, "," + inner + "  ", digits, False)
             chunks += ["[", inner + "  ", rows, inner + "]"]
         chunks.append(pad + "}")
     else:

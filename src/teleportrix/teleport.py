@@ -47,6 +47,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,14 +145,21 @@ class RegimeReport:
 class BranchStack:
     """Transfer matrices of G parameter tuples with their Gram analysis.
 
-    matrices[g, k] is M_k of tuple g, in canonical label order.
-    probabilities[g, k] = tr(M_k^dag M_k) / 2, the input-independent
-    probability of branch k when faithful[g, k] holds.
+    entries holds the (8, G) nonzero matrix entries (as _entries gives
+    them); matrices[g, k] is M_k of tuple g, in canonical label order,
+    built from them on first read. probabilities[g, k] = tr(M_k^dag M_k) / 2,
+    the input-independent probability of branch k when faithful[g, k] holds.
     """
 
-    matrices: np.ndarray
+    entries: np.ndarray
     probabilities: np.ndarray
     faithful: np.ndarray
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        mats = np.zeros((self.entries.shape[1], 16), dtype=complex)
+        mats[:, _NONZERO] = self.entries.T
+        return mats.reshape(-1, 4, 2, 2)
 
     def success(self, labels) -> np.ndarray:
         """Summed branch probability of the named outcomes, per tuple."""
@@ -211,9 +219,7 @@ def branch_stack(n, ell, p) -> BranchStack:
     squares = entries.real * entries.real + entries.imag * entries.imag
     diagonals = squares[_DIAGONAL].reshape(2, 4, -1).transpose(0, 2, 1)  # (2, G, 4)
     _check_gram_total(diagonals)
-    mats = np.zeros((entries.shape[1], 16), dtype=complex)
-    mats[:, _NONZERO] = entries.T
-    return BranchStack(mats.reshape(-1, 4, 2, 2), *_gram_analysis(diagonals))
+    return BranchStack(entries, *_gram_analysis(diagonals))
 
 
 # Flat positions, in the (4, 2, 2) stack of one tuple, of the eight
@@ -515,8 +521,8 @@ def evaluate_inputs(stack: BranchStack, inputs) -> InputBatch:
     array or K (alpha, beta) pairs, each finite and normalized. Branch k
     of input i conditions Bob's qubit on M_k psi_i.
     """
-    if len(stack.matrices) != 1:
-        raise BadInput(f"evaluate_inputs needs a stack of one parameter tuple, got {len(stack.matrices)}")
+    if len(stack.probabilities) != 1:
+        raise BadInput(f"evaluate_inputs needs a stack of one parameter tuple, got {len(stack.probabilities)}")
     psi = _input_array(inputs)
     matrices = stack.matrices[0]
     corrections = _corrections(matrices)

@@ -30,6 +30,9 @@ import cmath, hashlib, math, random
 import numpy as np
 from teleportrix import cli, teleport
 rnd = random.Random(61)
+def decoded(matrix):
+    # the text of each row of a character matrix: its bytes less the zeros
+    return [row[row != 0].tobytes().decode("ascii") for row in matrix]
 def draw():
     return cmath.rect(10.0 ** rnd.uniform(-3.0, 3.0), rnd.uniform(0.0, 2.0 * math.pi))
 tuples = [(draw(), draw(), draw()) for _ in range(2000)]
@@ -45,9 +48,11 @@ for digits in (6, 12, 17):
     ties = [math.ldexp(math.trunc(math.ldexp(x, digits + 1)), -(digits + 1)) for x in column[:500]]
     column += ties + [math.nextafter(t, 0.0) for t in ties] + [math.nextafter(t, math.inf) for t in ties]
     column = np.array([v if i % 3 else -v for i, v in enumerate(column)])
-    cells = cli._column(column, digits, False)
+    cells = decoded(cli._column(column, digits, False))
     # the fixed-point kernel gave them, and they are repr(round(v, digits))
-    assert cli._fixed_point(column, digits) == cells == [repr(round(v, digits)) for v in column.tolist()]
+    text, outside = cli._fixed_point(column, digits)
+    assert not outside.any()
+    assert decoded(text) == cells == [repr(round(v, digits)) for v in column.tolist()]
     digest.update(",".join(cells).encode())
 print(digest.hexdigest())
 """

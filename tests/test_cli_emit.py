@@ -292,6 +292,42 @@ def _column_values(draw):
     return draw(st.lists(value, min_size=size, max_size=size))
 
 
+def _decoded(matrix) -> list:
+    """The text of each row of a character matrix: its bytes less the zeros."""
+    return [row[row != 0].tobytes().decode("ascii") for row in matrix]
+
+
+def _outside(v, d) -> bool:
+    """Whether v lies outside the range where _fixed_point is exact at d digits."""
+    return not abs(v) < 10.0 ** (15 - d) or 0.0 < abs(round(v, d)) < 1e-4
+
+
+def test_cells_gets_only_the_values_outside_the_fixed_point_range(monkeypatch):
+    cells, column = cli._cells, cli._column
+    sent, columns = [], []
+    monkeypatch.setattr(cli, "_cells", lambda values, *rest: sent.extend(
+        v for v in values if isinstance(v, float)) or cells(values, *rest))
+    monkeypatch.setattr(cli, "_column", lambda values, *rest: columns.append(values) or column(values, *rest))
+
+    def sweep(grid, output):
+        sent.clear()
+        columns.clear()
+        assert _run(["sweep", f"--n-grid={grid}", "--output", output])[0] == 0
+        return sent
+
+    for output in ("json", "csv"):
+        # 10,000 points, every value inside the range at precision 12
+        assert sweep("0.05:5.0495:0.0005", output) == []
+        assert [len(values) for values in columns] == [10_000] * 4
+        # n = 0 at the ninth point, where the repetitions and 1 / success
+        # are inf; every other value is inside the range
+        assert sweep("-2:2:0.25", output) == [math.inf, math.inf]
+        # near n = 0 the repetitions exceed 10^3 and the success falls below 1e-4
+        got = sweep("-1.5:1.5:0.0005", output)
+        assert got == [v for values in columns for v in values.tolist() if _outside(v, 12)]
+        assert 0 < len(got) < 1_000
+
+
 def test_column_pass_equals_rounded_repr_of_each_value(monkeypatch):
     cells = cli._cells
     fallbacks = []
@@ -315,15 +351,19 @@ def test_column_pass_equals_rounded_repr_of_each_value(monkeypatch):
         for digits in range(6, 18):
             for csv in (False, True):
                 expected = cells(values, digits, csv)
-                assert cli._column(values, digits, csv) == expected
+                # a list takes the row template, one row per value
+                text = cli._rows([values], ["", "\n"], "", digits, csv)
+                assert text == "".join(cell + "\n" for cell in expected)
                 if not floats:
                     continue
                 before = len(fallbacks)
-                got = cli._column(np.array(values), digits, csv)
+                got = _decoded(cli._column(np.array(values), digits, csv))
                 assert got == expected
                 if all(math.isfinite(v) for v in values):
                     assert got == [repr(round(v, digits)) for v in values]
                 (passes if len(fallbacks) == before else array_fallbacks).append(digits)
+                # an array's rows (a character matrix above four values) give the list's text
+                assert cli._rows([np.array(values)], ["", "\n"], "", digits, csv) == text
 
     check()
     # neither path of an array is vacuous at any precision
