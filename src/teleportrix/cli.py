@@ -27,11 +27,10 @@ SEED_ENV = "TELEPORTRIX_SEED"
 _PROBABILISTIC_REGIMES = ("probabilistic2", "probabilistic1")
 _SWAP_PARAMS = ("m", "n", "l", "p", "l-prime", "p-prime")
 
-# Request size limits. Sampling memory is O(teleport.SAMPLE_CHUNK + K)
-# for K inputs whatever the shot count, so MAX_SHOTS bounds run time
-# only (10^9 shots take 5-8 s on one core of a 2-vCPU x86 VM); the
-# input batch and the sweep report grow with their counts, so
-# MAX_INPUTS and MAX_GRID_POINTS bound memory.
+# Request size limits. Sampled shots are drawn as per-input counts, in
+# time and memory O(K) for K inputs whatever the shot count, so MAX_SHOTS
+# bounds neither; the input batch and the sweep report grow with their
+# counts, so MAX_INPUTS and MAX_GRID_POINTS bound memory.
 MAX_SHOTS = 10**9
 MAX_INPUTS = 10**5
 MAX_GRID_POINTS = 10**5
@@ -131,15 +130,17 @@ def _dispatch(args) -> str:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    if not env:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(f"{SEED_ENV} must be an integer, got {env!r}") from None
+    """--seed, else TELEPORTRIX_SEED, else 0; ParseError naming its source unless it is >= 0."""
+    source, seed = "--seed", args.seed
+    if seed is None:
+        source, env = SEED_ENV, os.environ.get(SEED_ENV)
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            raise ParseError(f"{SEED_ENV} must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ParseError(f"{source} must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _cells(values, digits, csv: bool) -> list:
@@ -365,8 +366,11 @@ def _cmd_teleport(args):
 def _sample_outcomes(probabilities, shots, rng, report):
     # shot i uses input i mod len(probabilities); faithful-branch
     # probability is input independent, so the faithful frequency
-    # estimates the same number whatever the inputs.
-    totals = teleport.count_outcomes(probabilities, shots, rng)
+    # estimates the same number whatever the inputs. Each row is divided
+    # by its sum: inputs are normalized within TOL_EQ, the sampler's rows
+    # must sum to 1 within TOL_NORM.
+    rows = probabilities / probabilities.sum(axis=1, keepdims=True)
+    totals = teleport.count_outcomes(rows, shots, rng)
     counts = {label: int(c) for label, c in zip(BASIS_LABELS, totals)}
     freqs = {label: counts[label] / shots for label in BASIS_LABELS}
     faithful_freq = sum(freqs[label] for label in report.faithful_outcomes)

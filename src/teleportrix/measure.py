@@ -1,23 +1,27 @@
-"""Projective measurement of a qubit pair in an entangled basis.
+"""Projective measurement of a qubit pair in an entangled basis, and shot sampling.
 
-project_all enumerates all four outcomes exactly; sample draws one
-outcome with a seeded generator. Both are pure functions: sample takes
-its randomness as a seed and returns a value, so callers running
+project_all enumerates all four outcomes exactly. Shots against a (K, 4)
+table of outcome probabilities follow one rule: shot s uses row s mod K,
+each row's four counts are one multinomial draw, count_outcomes sums
+them and sample_outcomes lays each row's outcomes over its shots in a
+uniformly random order. sample is its one-shot case for one state: it
+takes its randomness as a seed and returns a value, so callers running
 parallel shot batches split seeds themselves (the documented scheme is
 seed + shot index).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .ebasis import BASIS_LABELS, EntangledBasis
-from .errors import BadPair
+from .errors import BadInput, BadPair
 from .qcore import PureState
-from .tolerances import TOL_PROB
+from .tolerances import TOL_NORM, TOL_PROB
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +71,79 @@ def project_all(s: PureState, pair: Sequence, basis: EntangledBasis) -> tuple:
 
 
 def sample(s: PureState, pair: Sequence, basis: EntangledBasis, seed: int) -> MeasurementOutcome:
-    """Draw one outcome by inverse CDF over the four probabilities.
+    """Draw one outcome: sample_outcomes of one shot from numpy's PCG64 seeded with `seed`.
 
-    The generator is numpy's seeded PCG64; the same seed always yields
-    the same outcome, by the rule of teleport.sample_outcomes. Only the
-    drawn outcome's residual state is built.
+    The same seed always yields the same outcome. Only the drawn
+    outcome's residual state is built.
     """
     rest, resids, probs = _projection(s, pair, basis)
-    u = np.random.default_rng(seed).random()
-    k = int(np.count_nonzero(np.cumsum(probs[:3]) <= u))
+    k = int(sample_outcomes([probs], 1, np.random.default_rng(seed))[0])
     return _outcome(k, rest, resids[k], probs[k])
+
+
+def _shot_count(shots, least: int) -> int:
+    """shots as an int, BadInput unless it is an integer >= least."""
+    try:
+        shots = operator.index(shots)
+    except TypeError:
+        raise BadInput(f"shots must be an integer, got {shots!r}") from None
+    if shots < least:
+        raise BadInput(f"shots must be >= {least}, got {shots}")
+    return shots
+
+
+def _shot_counts(probabilities, shots: int, rng) -> np.ndarray:
+    """(min(K, shots), 4) int64 outcome counts of the rows that get a shot.
+
+    probabilities is a (K, 4) array of nonnegative rows, each summing to 1
+    within TOL_NORM (else BadInput). Shot s uses row s mod K, so row i gets
+    shots // K + (i < shots % K) shots; one rng.multinomial call draws
+    every row's counts from the row divided by its sum, exactly as a loop
+    of rng.multinomial(n_i, p_i / sum(p_i)) over the rows would. Time and
+    memory are O(K) whatever the shot count. shots must be an integer >= 0.
+    """
+    shots = _shot_count(shots, 0)
+    probabilities = np.asarray(probabilities, dtype=float)
+    if probabilities.ndim != 2 or probabilities.shape[0] == 0 or probabilities.shape[1] != 4:
+        raise BadInput(f"probabilities must be a nonempty (K, 4) array, got shape {probabilities.shape}")
+    if not probabilities.min() >= 0.0:
+        raise BadInput("probabilities must be nonnegative numbers")
+    sums = probabilities.sum(axis=1)
+    off = np.abs(sums - 1.0).max()
+    if not off <= TOL_NORM:
+        raise BadInput(f"probability rows must sum to 1 within {TOL_NORM}, one is off by {float(off)!r}")
+    rows = min(len(probabilities), shots)
+    if rows == 1:  # row 0 gets every shot; numpy's vectorized call costs about 6 us more
+        return rng.multinomial(shots, probabilities[0] / sums[0])[None]
+    each = np.full(rows, shots // len(probabilities))
+    each[:shots % len(probabilities)] += 1
+    return rng.multinomial(each, probabilities[:rows] / sums[:rows, None])
+
+
+def count_outcomes(probabilities, shots: int, rng) -> np.ndarray:
+    """(4,) int64 counts of `shots` shots: _shot_counts summed over the rows.
+
+    They equal the bincount of sample_outcomes for the same generator state.
+    """
+    return _shot_counts(probabilities, shots, rng).sum(axis=0)
+
+
+def sample_outcomes(probabilities, shots: int, rng) -> np.ndarray:
+    """(shots,) outcome indices, shot s drawn from row s mod K (see _shot_counts).
+
+    The counts are drawn first. Each row's outcomes, sorted, then fill its
+    row of a (K, shots // K + 1) table, whose entry (i, j) is shot j K + i
+    (the last slot is unused where the row gets one shot fewer), and
+    rng.permuted puts them in a uniformly random order, the rows that get
+    one shot more in one call and the others in a second.
+    """
+    counts = _shot_counts(probabilities, shots, rng)
+    each, extra = divmod(operator.index(shots), len(probabilities))
+    ordered = np.repeat(np.arange(counts.size) % 4, counts.ravel())  # row by row, outcomes ascending
+    table = np.empty((len(probabilities), each + 1), np.intp)
+    split = extra * (each + 1)
+    for part, values in ((table[:extra], ordered[:split]), (table[extra:, :each], ordered[split:])):
+        part[:] = values.reshape(part.shape)
+        if part.size > len(part):  # a row of two or more shots to order
+            rng.permuted(part, axis=1, out=part)
+    return table.T.ravel()[:shots]

@@ -35,16 +35,16 @@ protocol_branches are its batch of one, and sweeps over the resource
 parameter go through two_faithful_stack / one_faithful_stack.
 evaluate_inputs takes the one-tuple stack, computes its four polar
 corrections in closed form (_corrections), and applies the matrices to
-a whole (K, 2) batch of inputs at once. Shots against the batch come from
-one chunked draw over contiguous slices of the CDF columns:
-sample_outcomes yields the outcome index of every shot, count_outcomes
-only the four counts. run is the batch of one.
+a whole (K, 2) batch of inputs at once. Shots against the batch follow
+measure's sampling rule (shot s of input s mod K, one multinomial draw of
+each input's counts): sample_outcomes gives the outcome index of every
+shot, count_outcomes only the four counts, in time and memory O(K)
+whatever the shot count. run is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,16 +55,11 @@ from . import measure, qcore
 from .complexfmt import MODULUS_BOUND, finite_complex, finite_rows, squared_moduli, squared_modulus
 from .ebasis import BASIS_LABELS, BasisParams, general_basis, regime_name, resource_state
 from .errors import BadInput, CompletenessError, NonFinite, SingularMatrix
+from .measure import count_outcomes, sample_outcomes  # re-exported under their teleport names
 from .qcore import PureState, matvec, rowwise_norm, rowwise_vdot
 from .tolerances import TOL_EQ, TOL_NORM, TOL_PROB
 
 INFINITE = math.inf
-
-# Shots drawn per rng.random call. Working memory is a few arrays of
-# this length plus a CDF buffer of 3 (K + SAMPLE_CHUNK) entries for K
-# inputs, so it stays small whatever the shot count; the outcomes do
-# not depend on it.
-SAMPLE_CHUNK = 4096
 
 # Parameter choices with two faithful outcomes, indexed 0..3: join the
 # basis parameters to the resource as (l, p) = (n, n*), (n, 1/n),
@@ -550,87 +545,13 @@ def haar_inputs(count: int, rng) -> np.ndarray:
     return vec / rowwise_norm(vec)[:, None]
 
 
-def _shot_count(shots, least: int) -> int:
-    """shots as an int, BadInput unless it is an integer >= least."""
-    try:
-        shots = operator.index(shots)
-    except TypeError:
-        raise BadInput(f"shots must be an integer, got {shots!r}") from None
-    if shots < least:
-        raise BadInput(f"shots must be >= {least}, got {shots}")
-    return shots
-
-
-def _cdf_chunks(probabilities, shots: int, rng):
-    """Draws of `shots` shots in chunks of SAMPLE_CHUNK, with their CDF entries.
-
-    probabilities is a (K, 4) array; shot i uses row i mod K. The first
-    three CDF columns are laid out once as the rows of a (3, W)
-    wrap-around buffer, W = K + min(SAMPLE_CHUNK, shots) and entry j
-    holding input j mod K, so the inputs of a chunk are one contiguous
-    slice of each row starting at start mod K. Yields (draws, block) per
-    chunk, block the (3, len(draws)) view of those slices. Drawing
-    rng.random in chunks consumes the generator exactly as one call for
-    all shots would. shots must be an integer >= 0, else BadInput.
-    """
-    shots = _shot_count(shots, 0)
-    probabilities = np.asarray(probabilities, dtype=float)
-    if probabilities.ndim != 2 or probabilities.shape[0] == 0 or probabilities.shape[1] != 4:
-        raise BadInput(f"probabilities must be a nonempty (K, 4) array, got shape {probabilities.shape}")
-    rows = len(probabilities)
-    width = rows + min(SAMPLE_CHUNK, shots)
-    cdf = np.cumsum(probabilities[:, :3], axis=1).T
-    # np.tile, not np.resize: np.resize concatenates one copy per
-    # repeat, about 0.5 ms for a single input and a full chunk.
-    buffer = np.tile(cdf, (1, -(-width // rows)))
-    for start in range(0, shots, SAMPLE_CHUNK):
-        draws = rng.random(min(SAMPLE_CHUNK, shots - start))
-        offset = start % rows
-        yield draws, buffer[:, offset:offset + len(draws)]
-
-
-def sample_outcomes(probabilities: np.ndarray, shots: int, rng):
-    """Outcome indices of `shots` draws, yielded in chunks of SAMPLE_CHUNK.
-
-    probabilities is a (K, 4) array; shot i uses row i mod K. Each draw u
-    is inverted through that row's CDF: the index is the number of its
-    first three cumulative sums that are <= u, i.e. searchsorted(cdf, u,
-    side="right") capped at 3. The generator is consumed exactly as one
-    rng.random call for all shots would consume it, so the outcomes do
-    not depend on the chunk size. count_outcomes gives the counts of
-    these indices without forming them.
-    """
-    for draws, block in _cdf_chunks(probabilities, shots, rng):
-        yield (block <= draws).sum(axis=0, dtype=np.intp)
-
-
-def count_outcomes(probabilities, shots: int, rng) -> np.ndarray:
-    """(4,) int64 counts of the sample_outcomes indices for the same generator state.
-
-    Rows must be nonnegative (a negative or NaN entry raises BadInput),
-    so the cumulative sums of a row do not decrease and {c0 <= u}
-    contains {c1 <= u}, which contains {c2 <= u}. With A_j the number of
-    shots whose draw is >= c_j, the counts are S - A0, A0 - A1, A1 - A2
-    and A2: three comparisons and counts per chunk, with no per-shot
-    index array. Memory is O(SAMPLE_CHUNK + K) whatever the shot count.
-    """
-    probabilities = np.asarray(probabilities, dtype=float)
-    if not np.all(probabilities >= 0.0):
-        raise BadInput("probabilities must be nonnegative numbers")
-    at_least = [0, 0, 0]
-    for draws, block in _cdf_chunks(probabilities, shots, rng):
-        for j in range(3):
-            at_least[j] += int(np.count_nonzero(block[j] <= draws))
-    return -np.diff(np.array([shots, *at_least, 0], dtype=np.int64))
-
-
 def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int | None = None) -> RunResult:
     """Run the protocol on one input state.
 
     With shots=None the result is exhaustive: all four outcome records
     with exact probabilities. With shots set, per-shot outcomes are
-    drawn by inverse CDF from one generator seeded with `seed`, and the
-    result additionally carries empirical frequencies and the shot
+    drawn by sample_outcomes from one generator seeded with `seed`, and
+    the result additionally carries empirical frequencies and the shot
     labels (exhaustive records are still included).
     """
     stack = protocol_branches(params)
@@ -645,10 +566,11 @@ def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int 
                                      fid if kept else None))
     if shots is None:
         return RunResult(tuple(records), report)
-    shots = _shot_count(shots, 1)
+    shots = measure._shot_count(shots, 1)
     seed = 0 if seed is None else seed
-    rng = np.random.default_rng(seed)
-    indices = np.concatenate(list(sample_outcomes(batch.probabilities, shots, rng)))
+    # the input's norm is checked within TOL_EQ, the sampler's row sums within TOL_NORM
+    rows = batch.probabilities / batch.probabilities.sum(axis=1, keepdims=True)
+    indices = sample_outcomes(rows, shots, np.random.default_rng(seed))
     labels = tuple(_LABEL_ARRAY[indices].tolist())
     counts = np.bincount(indices, minlength=4)
     freqs = {label: int(counts[k]) / shots for k, label in enumerate(BASIS_LABELS)}

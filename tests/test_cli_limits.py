@@ -1,9 +1,11 @@
-"""Oversized and overflowing requests exit 2 with a one-line message, no traceback.
+"""Oversized and overflowing requests and negative seeds exit 2 with a
+one-line message, no traceback; the largest shot count is served.
 
 Run as a child interpreter, since a traceback only shows on a real
 process's stderr.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +24,7 @@ CASES = {
     "shots_over_limit": TELEPORT + ["--alpha", "1", "--beta", "0", "--mode", "sampled",
                                     "--shots", "1000000001"],
     "inputs_huge": TELEPORT + ["--random-input", "2000000000000"],
+    "seed_negative": TELEPORT + ["--random-input", "3", "--mode", "sampled", "--seed", "-1"],
     "grid_step_subnormal": ["sweep", "--n-grid", "0:1:1e-320"],
     "grid_step_tiny": ["sweep", "--n-grid", "0:1:1e-300"],
     "grid_too_many_points": ["sweep", "--n-grid", "0:100000:1"],
@@ -36,9 +39,10 @@ CASES = {
 }
 
 
-def _run_cli(argv):
+def _run_cli(argv, **env_extra):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("TELEPORTRIX_SEED", None)
+    env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "teleportrix.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -64,3 +68,29 @@ def test_sweep_overflow_names_the_parameter():
     assert proc.stderr.startswith("teleportrix: n = ")
     assert "is too large" in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra,env,message", [
+    (["--seed", "-1"], {}, "--seed must be a nonnegative integer, got -1"),
+    ([], {"TELEPORTRIX_SEED": "-5"}, "TELEPORTRIX_SEED must be a nonnegative integer, got -5"),
+])
+def test_negative_seed_names_its_source(extra, env, message):
+    proc = _run_cli(TELEPORT + ["--random-input", "3", "--mode", "sampled", *extra], **env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"teleportrix: {message}\n"
+
+
+def test_classify_ignores_a_negative_seed():
+    proc = _run_cli(["classify", "--n", "0.5", "--l", "0.5", "--p", "2", "--seed", "-1"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["seed"] is None
+
+
+def test_a_billion_shots_are_counted():
+    # shots are drawn as per-input counts: MAX_SHOTS takes milliseconds, not seconds
+    proc = _run_cli(TELEPORT + ["--random-input", "3", "--mode", "sampled", "--shots", "1000000000"])
+    assert proc.returncode == 0, proc.stderr
+    empirical = json.loads(proc.stdout)["empirical"]
+    assert empirical["shots"] == 10**9
+    assert sum(empirical["counts"].values()) == 10**9

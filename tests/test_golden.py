@@ -1,11 +1,12 @@
 """Golden CLI output and the batched kernel against the brute-force route.
 
 The digests are sha256 of the stdout the per-input implementation (one
-teleport.run per input, one searchsorted per shot) printed for each
-argv. The batched kernel must reproduce those bytes: same seeds, same
-counts, same rounded numbers, also at 17 digits. The sweep digests were
-printed by the per-point sweep (one transfer_matrices call per grid
-point); the stacked sweep must reproduce those bytes too.
+teleport.run per input) printed for each argv. The batched kernel must
+reproduce those bytes: same seeds, same counts, same rounded numbers,
+also at 17 digits. The sampled argvs' digests were recorded when shots
+became per-input multinomial counts. The sweep digests were printed by
+the per-point sweep (one transfer_matrices call per grid point); the
+stacked sweep must reproduce those bytes too.
 """
 
 import hashlib
@@ -33,35 +34,35 @@ GOLDEN = [
     # two faithful outcomes, few inputs
     (["teleport", "--n", "0.5", "--l", "0.5", "--p", "0.5", "--mode", "sampled",
       "--random-input", "7", "--shots", "10000", "--seed", "0"],
-     "9aa2dc31f963646a6d94b6d1833b556fdf5c4ab9738c975a50917a637cc67951"),
+     "f9cdc568d23b37a4fbb99563115cb884d350bcee50595420ba61c7494f70c2f2"),
     # one faithful outcome, CSV
     (["teleport", "--n", "0.3+0.4i", "--l", "0.3+0.4i", "--p", "3", "--mode", "sampled",
       "--random-input", "50", "--shots", "20000", "--seed", "3", "--output", "csv"],
-     "2f6f81055cb7fd543543199372e7cb8559523136b571cfedef8e8212db9da6db"),
-    # NoFaithful; 8197 shots = 2 * 4096 + 5, not a multiple of 13 inputs either
+     "f5d1ed1787b25cb6ee6f9d861cb6850869b573b99cdc9d07b20156e59ed0dfed"),
+    # NoFaithful; 8197 shots, not a multiple of 13 inputs
     (["teleport", "--n", "2", "--l", "0.7+0.1i", "--p", "1.3", "--mode", "sampled",
       "--random-input", "13", "--shots", "8197", "--seed", "11"],
-     "07339cf49e7af92d763c303da47bcbeb96f3a89bbbf7fc8af5e4b381359a23ee"),
+     "b2d1a7f8b5b75588735616d28848f678a3d1854e5e5de09b01057598272ea9b9"),
     # Bell case, deterministic, CSV
     (["teleport", "--n", "1", "--l", "1", "--p", "1", "--mode", "sampled",
       "--random-input", "5", "--shots", "5000", "--seed", "2", "--output", "csv"],
-     "4624bde84660a141abe21036602fd88d34c0c99ebede630adf87336c917570e4"),
-    # 17 digits, many chunks
+     "e6ad90a28736658b1527ca5ffe3bee33c46cd4e2b71ad57093e4d6d9af27db42"),
+    # 17 digits, 500 shots per input
     (["teleport", "--n", "0.25-0.1i", "--l", "3.448275862069-1.379310344828i",
       "--p", "3.448275862069+1.379310344828i", "--mode", "sampled",
       "--random-input", "200", "--shots", "100000", "--seed", "1", "--precision", "17"],
-     "bc6e4b8a318ea0dd16f39f7edc10cf4bac76e42a4febb64f2037ccb584ade858"),
+     "cb9d9081373a281d8cafcff3a3b47aa5504d76f708260ef89f00a8a96016629d"),
     (["teleport", "--n", "0.7-0.2i", "--l", "0.7+0.2i", "--p", "0.7+0.2i", "--mode", "sampled",
       "--random-input", "311", "--shots", "30001", "--seed", "7", "--output", "csv",
       "--precision", "17"],
-     "c27d1cc125ac2453111d9d8d3efbb3816d96d9a9f47f384e97d9534e9c0ae4d2"),
+     "4b1048deb5a50baf421b8ed2940c255c114dbca299855d7450c1e3e6f9d971f3"),
     # exhaustive fixed input
     (["teleport", "--n", "0.5", "--l", "0.5", "--p", "2", "--alpha", "0.6", "--beta", "0.8i"],
      "1cc976caa0392c11fd3ea65d13f93f2a36dc9d787130b68edfa2d1e758177472"),
-    # sampled fixed input, one shot past a chunk
+    # sampled fixed input
     (["teleport", "--n", "0.5", "--l", "0.5", "--p", "2", "--alpha", "0.6", "--beta", "-0.8",
       "--mode", "sampled", "--shots", "4097", "--seed", "9", "--precision", "17"],
-     "7e5bd45d1202ab68d58402c4b5af86a1c4b50fe7d8cc31b874273bae4ccc60b8"),
+     "5ec4d65b759ea6c5d37c5437d122e465d664a5e2b8e8ce4acd9874d23b73295f"),
     (["swap", "--m", "0.5", "--n", "2", "--l", "0.5", "--p", "2", "--l-prime", "0.5",
       "--p-prime", "0.5"],
      "4c2799a5eeca777c145c3db3ac8cef8d748a76634d6a2bb7974f4eeab11282e3"),
@@ -94,10 +95,10 @@ GOLDEN = [
     # 6 digits, the lowest precision
     (["teleport", "--n", "0.5", "--l", "0.5", "--p", "0.5", "--mode", "sampled",
       "--random-input", "7", "--shots", "10000", "--seed", "0", "--precision", "6"],
-     "ad19e358009c1ee94cb397d3994a8b2082727c0e3e4d4e5ae2ce47c17a896c09"),
+     "0ca8a3b56fc32b8cfd911f35f1d9df981ff1011b73febbff6b07d4d0bc3069d9"),
     (["teleport", "--n", "0.5", "--l", "0.5", "--p", "0.5", "--mode", "sampled",
       "--random-input", "7", "--shots", "10000", "--seed", "0", "--precision", "6", "--output", "csv"],
-     "1e47c4472697a92472de7d1b558957289ab06bb2206f16dffd3d8d3e9c80ec48"),
+     "f413b29e0df34891f6e6ff08c313a3dea1363738c9a8b61ba1c04875c8077ee6"),
 ]
 
 
@@ -305,46 +306,33 @@ def test_zero_probability_branch_has_no_fidelity():
 
 
 def _reference_indices(probabilities, shots, rng):
-    # one searchsorted per shot over input i mod K, as the sampler did
-    # before it was vectorised
+    # one searchsorted per shot over input i mod K: the inverse-CDF rule the
+    # sampler followed before it drew per-input counts, kept as a
+    # statistical oracle for the rule that replaced it
     cdfs = [np.cumsum(row) for row in probabilities]
     draws = rng.random(shots)
     return np.array([min(int(np.searchsorted(cdfs[i % len(cdfs)], draws[i], side="right")), 3)
                      for i in range(shots)])
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 4096])
-def test_sampler_matches_per_shot_loop_for_any_chunk(monkeypatch, chunk):
-    rng = np.random.default_rng(33)
-    probabilities = rng.random((7, 4))
-    probabilities[2] = (0.5, 0.0, 0.5, 0.0)
-    probabilities[4] = (0.0, 0.0, 0.0, 1.0)
-    probabilities /= probabilities.sum(axis=1, keepdims=True)
-    shots = 2 * 4096 + 5
-    expected = _reference_indices(probabilities, shots, np.random.default_rng(5))
-    monkeypatch.setattr(teleport, "SAMPLE_CHUNK", chunk)
-    got = np.concatenate(list(teleport.sample_outcomes(probabilities, shots, np.random.default_rng(5))))
-    assert np.array_equal(got, expected)
+def _per_input_loop(probabilities, shots, rng):
+    # one scalar rng.multinomial per input that gets a shot; input i takes
+    # the shots s with s mod K == i, and draws from its row over its sum
+    count = len(probabilities)
+    return np.array([rng.multinomial(shots // count + (i < shots % count), row / row.sum())
+                     for i, row in enumerate(probabilities[:shots])], dtype=np.int64).reshape(-1, 4)
 
 
-class _FixedDraws:
-    def __init__(self, draws):
-        self.draws = np.asarray(draws, dtype=float)
+def _per_shot_loop(probabilities, shots, rng):
+    # the sampler's rule one shot at a time: every input's counts drawn as
+    # in _per_input_loop, then each input's outcomes, ascending, shuffled in
+    # place, inputs in order; shot s takes the next outcome of input s mod K
+    count = len(probabilities)
+    drawn = [np.repeat(np.arange(4), row) for row in _per_input_loop(probabilities, shots, rng)]
+    for outcomes in drawn:
+        rng.shuffle(outcomes)
+    return np.array([drawn[s % count][s // count] for s in range(shots)], dtype=np.intp)
 
-    def random(self, size):
-        out, self.draws = self.draws[:size], self.draws[size:]
-        return out
-
-
-def test_sampler_draw_on_a_cdf_step_goes_to_the_later_outcome():
-    # searchsorted(side="right"): u equal to a cumulative sum lands past it
-    probabilities = np.array([[0.5, 0.0, 0.25, 0.25]])
-    draws = [0.0, 0.5, 0.75, 0.9999, 0.25]
-    got = next(teleport.sample_outcomes(probabilities, len(draws), _FixedDraws(draws)))
-    assert got.tolist() == [0, 2, 3, 3, 0]
-
-
-# --- counts straight from the CDF slices ---------------------------------------
 
 def _rows_with_ties(count, seed):
     # random rows, every third with a zero second entry (c0 == c1), plus
@@ -357,39 +345,118 @@ def _rows_with_ties(count, seed):
     return probabilities / probabilities.sum(axis=1, keepdims=True)
 
 
-def _sampled_bincount(probabilities, shots, rng):
-    indices = np.concatenate(list(teleport.sample_outcomes(probabilities, shots, rng)))
-    return np.bincount(indices, minlength=4)
+def _assert_per_input_counts(indices, expected, count):
+    # the shots of input i, s = i, i + K, ..., carry input i's counts
+    for i, row in enumerate(expected):
+        assert np.array_equal(np.bincount(indices[i::count], minlength=4), row)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), st.integers(0, 400), st.integers(0, 2**32 - 1))
+def test_counts_equal_per_input_multinomial_loop(rows, shots, seed):
+    probabilities = _rows_with_ties(rows, seed)
+    expected = _per_input_loop(probabilities, shots, np.random.default_rng(seed))
+    counts = teleport.count_outcomes(probabilities, shots, np.random.default_rng(seed))
+    assert np.array_equal(counts, expected.sum(axis=0))
+    indices = teleport.sample_outcomes(probabilities, shots, np.random.default_rng(seed))
+    _assert_per_input_counts(indices, expected, rows)
+
+
+@pytest.mark.parametrize("rows,shots", [(1, 10**9), (3, 10**9), (7, 10**9 - 1), (270, 120_017)])
+def test_counts_of_large_requests_equal_per_input_multinomial_loop(rows, shots):
+    probabilities = _rows_with_ties(rows, shots)
+    expected = _per_input_loop(probabilities, shots, np.random.default_rng(3))
+    counts = teleport.count_outcomes(probabilities, shots, np.random.default_rng(3))
+    assert counts.sum() == shots
+    assert np.array_equal(counts, expected.sum(axis=0))
 
 
 @pytest.mark.parametrize("rows,shots", [
     (1, 2 * 4096 + 5), (7, 2 * 4096 + 5), (4097, 2 * 4096 + 5), (10_000, 2 * 4096 + 5),
     (10_000, 300), (7, 3),
 ])
-@pytest.mark.parametrize("chunk", [1, 7, 4096])
-def test_counts_equal_bincount_of_sampled_indices(monkeypatch, chunk, rows, shots):
+@pytest.mark.parametrize("seed", [1, 7, 4096])
+def test_counts_equal_bincount_of_sampled_indices(seed, rows, shots):
     probabilities = _rows_with_ties(rows, rows + shots)
-    expected = np.bincount(_reference_indices(probabilities, shots, np.random.default_rng(9)), minlength=4)
-    monkeypatch.setattr(teleport, "SAMPLE_CHUNK", chunk)
-    counts = teleport.count_outcomes(probabilities, shots, np.random.default_rng(9))
+    counts = teleport.count_outcomes(probabilities, shots, np.random.default_rng(seed))
     assert counts.dtype == np.int64 and counts.shape == (4,)
-    assert np.array_equal(counts, expected)
-    assert np.array_equal(_sampled_bincount(probabilities, shots, np.random.default_rng(9)), expected)
+    indices = teleport.sample_outcomes(probabilities, shots, np.random.default_rng(seed))
+    assert indices.shape == (shots,)
+    assert np.array_equal(np.bincount(indices, minlength=4), counts)
+    _assert_per_input_counts(indices, _per_input_loop(probabilities, shots, np.random.default_rng(seed)), rows)
 
 
-@pytest.mark.parametrize("chunk", [1, 4, 4096])
-def test_counts_of_draws_on_cdf_steps(monkeypatch, chunk):
-    # shot i uses row i mod 2; every draw but the 0.9999 lands exactly on
-    # a cumulative sum and goes to the later outcome, as in searchsorted
-    # (side="right")
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_sampler_matches_per_shot_loop_for_any_chunk(chunk):
+    # a chunk is one round of K shots, one per input; five shots past the
+    # last round give inputs 0-4 one shot more than inputs 5 and 6, and at
+    # one round inputs 5 and 6 have a single shot that is not shuffled
+    rng = np.random.default_rng(33)
+    probabilities = rng.random((7, 4))
+    probabilities[2] = (0.5, 0.0, 0.5, 0.0)
+    probabilities[4] = (0.0, 0.0, 0.0, 1.0)
+    probabilities /= probabilities.sum(axis=1, keepdims=True)
+    shots = 7 * chunk + 5
+    expected = _per_shot_loop(probabilities, shots, np.random.default_rng(5))
+    got = teleport.sample_outcomes(probabilities, shots, np.random.default_rng(5))
+    assert np.array_equal(got, expected)
+
+
+def test_sampler_draw_on_a_cdf_step_goes_to_the_later_outcome():
+    # the CDF of this row is flat across outcome 1, so the mass past its
+    # step at 0.5 goes to outcome 2; one shot is the outcome that a
+    # one-trial multinomial of the row puts its count on
+    row = np.array([0.5, 0.0, 0.25, 0.25])
+    seeds = range(400)
+    got = [int(teleport.sample_outcomes([row], 1, np.random.default_rng(seed))[0]) for seed in seeds]
+    expected = [int(np.argmax(np.random.default_rng(seed).multinomial(1, row))) for seed in seeds]
+    assert got == expected
+    assert set(got) == {0, 2, 3}
+
+
+@pytest.mark.parametrize("rounds", [1, 4, 4096])
+def test_counts_of_draws_on_cdf_steps(rounds):
+    # shot s uses row s mod 2; the second row's CDF is flat across
+    # outcomes 0 and 2, so its shots are all 1 or 3, and the first row
+    # gets the one shot past the last round
     probabilities = np.array([[0.25, 0.25, 0.25, 0.25], [0.0, 0.5, 0.0, 0.5]])
-    draws = [0.25, 0.5, 0.5, 0.0, 0.75, 0.75, 0.9999, 0.0]
-    expected = [1, 3, 2, 1, 3, 3, 3, 1]
-    monkeypatch.setattr(teleport, "SAMPLE_CHUNK", chunk)
-    indices = np.concatenate(list(teleport.sample_outcomes(probabilities, len(draws), _FixedDraws(draws))))
-    assert indices.tolist() == expected
-    counts = teleport.count_outcomes(probabilities, len(draws), _FixedDraws(draws))
-    assert counts.tolist() == np.bincount(expected, minlength=4).tolist()
+    shots = 2 * rounds + 1
+    for seed in range(20):
+        expected = _per_input_loop(probabilities, shots, np.random.default_rng(seed))
+        assert expected[1, [0, 2]].tolist() == [0, 0]
+        indices = teleport.sample_outcomes(probabilities, shots, np.random.default_rng(seed))
+        assert set(indices[1::2].tolist()) <= {1, 3}
+        _assert_per_input_counts(indices, expected, 2)
+        counts = teleport.count_outcomes(probabilities, shots, np.random.default_rng(seed))
+        assert counts.tolist() == expected.sum(axis=0).tolist() == np.bincount(indices, minlength=4).tolist()
+
+
+def test_sampler_matches_per_shot_loop_in_mean():
+    # Both rules give input i's shots the multinomial distribution of row i,
+    # so over 200 seeds their mean counts agree within 5 standard errors of
+    # the difference: Var(count_k) = sum_i n_i p_ik (1 - p_ik) per seed.
+    probabilities, shots, seeds = _rows_with_ties(7, 33), 1001, range(200)
+    new = [teleport.count_outcomes(probabilities, shots, np.random.default_rng(seed)) for seed in seeds]
+    old = [np.bincount(_reference_indices(probabilities, shots, np.random.default_rng(seed)), minlength=4)
+           for seed in seeds]
+    per_input = np.array([shots // 7 + (i < shots % 7) for i in range(7)])[:, None]
+    variance = (per_input * probabilities * (1.0 - probabilities)).sum(axis=0)
+    gap = np.abs(np.mean(new, axis=0) - np.mean(old, axis=0))
+    assert np.all(gap <= 5.0 * np.sqrt(2.0 * variance / len(seeds)))
+
+
+def test_zero_probability_outcome_is_never_drawn():
+    # a zero entry anywhere in a row, and a row all on the last outcome,
+    # whose shots are all outcome 3
+    probabilities = np.array([[0.5, 0.0, 0.25, 0.25], [0.0, 0.5, 0.0, 0.5], [0.25, 0.25, 0.5, 0.0],
+                              [0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0], [0.1, 0.0, 0.2, 0.7]])
+    for seed in range(50):
+        indices = teleport.sample_outcomes(probabilities, 6 * 1000 + 5, np.random.default_rng(seed))
+        for i, row in enumerate(probabilities):
+            assert set(np.unique(indices[i::6]).tolist()) <= set(np.flatnonzero(row).tolist())
+        assert np.all(indices[3::6] == 3)
+    counts = teleport.count_outcomes(probabilities[[3]], 10**9, np.random.default_rng(0))
+    assert counts.tolist() == [0, 0, 0, 10**9]
 
 
 @pytest.mark.parametrize("bad", [-0.1, -0.0 - 1e-300, np.nan])
@@ -399,13 +466,30 @@ def test_counts_reject_negative_or_nan_rows(bad):
         teleport.count_outcomes(probabilities, 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("total", [1.1, 0.5])
+def test_sampler_rejects_a_row_that_does_not_sum_to_one(total):
+    probabilities = np.array([[0.25, 0.25, 0.25, 0.25], [total / 4] * 4])
+    with pytest.raises(BadInput, match="must sum to 1"):
+        teleport.count_outcomes(probabilities, 10, np.random.default_rng(0))
+    with pytest.raises(BadInput, match="must sum to 1"):
+        teleport.sample_outcomes(probabilities, 10, np.random.default_rng(0))
+
+
+def test_sampler_takes_a_row_within_tol_norm_of_one():
+    # numpy's multinomial refuses first entries summing past 1 + 1e-12; the
+    # sampler divides each row by its sum first
+    probabilities = np.array([[0.5, 0.5 + TOL_NORM / 2, 0.0, 0.0]])
+    counts = teleport.count_outcomes(probabilities, 1000, np.random.default_rng(0))
+    assert counts.sum() == 1000 and counts[2:].tolist() == [0, 0]
+
+
 @pytest.mark.parametrize("shots", [-5, 1.5, "3", None])
 def test_sampler_rejects_a_shot_count_that_is_not_a_nonnegative_integer(shots):
     probabilities = np.full((2, 4), 0.25)
     with pytest.raises(BadInput):
         teleport.count_outcomes(probabilities, shots, np.random.default_rng(0))
     with pytest.raises(BadInput):
-        next(teleport.sample_outcomes(probabilities, shots, np.random.default_rng(0)))
+        teleport.sample_outcomes(probabilities, shots, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("probabilities", [np.zeros((0, 4)), np.full((3, 3), 1 / 3), np.full(4, 0.25)])
@@ -413,17 +497,4 @@ def test_sampler_rejects_a_table_that_is_not_k_by_4(probabilities):
     with pytest.raises(BadInput):
         teleport.count_outcomes(probabilities, 10, np.random.default_rng(0))
     with pytest.raises(BadInput):
-        next(teleport.sample_outcomes(probabilities, 10, np.random.default_rng(0)))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 40), st.integers(1, 400), st.integers(1, 64), st.integers(0, 2**32 - 1))
-def test_counts_equal_per_shot_loop_for_any_rows_shots_and_chunk(rows, shots, chunk, seed):
-    probabilities = _rows_with_ties(rows, seed)
-    expected = np.bincount(_reference_indices(probabilities, shots, np.random.default_rng(seed)), minlength=4)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(teleport, "SAMPLE_CHUNK", chunk)
-        counts = teleport.count_outcomes(probabilities, shots, np.random.default_rng(seed))
-        sampled = _sampled_bincount(probabilities, shots, np.random.default_rng(seed))
-    assert np.array_equal(counts, expected)
-    assert np.array_equal(sampled, expected)
+        teleport.sample_outcomes(probabilities, 10, np.random.default_rng(0))

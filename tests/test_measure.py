@@ -131,8 +131,8 @@ class TestSample:
             assert abs(counts[label] / shots - 0.25) <= bound
 
     def test_draws_the_outcome_of_the_shot_sampler(self):
-        # the same inverse-CDF rule as teleport.sample_outcomes for one
-        # shot from the same seed, also where outcomes have probability 0
+        # the one-shot case of teleport.sample_outcomes from the same seed,
+        # also where outcomes have probability 0
         rng = np.random.default_rng(12)
         states = [classic_setup(0.6, 0.8, n=0.4 - 0.2j),
                   tensor(qcore.basis_state(("a", "b"), "01"), make_state(("c",), (0.6, 0.8j))),
@@ -142,32 +142,21 @@ class TestSample:
             basis = general_basis(BasisParams(*(complex(*rng.uniform(-2, 2, size=2)) for _ in range(2))))
             probs = np.array([[o.probability for o in measure.project_all(state, pair, basis)]])
             for seed in range(300):
-                want = next(teleport.sample_outcomes(probs, 1, np.random.default_rng(seed)))[0]
+                want = teleport.sample_outcomes(probs, 1, np.random.default_rng(seed))[0]
                 assert measure.sample(state, pair, basis, seed).label == BASIS_LABELS[want]
 
-    def test_draw_on_a_cdf_step_goes_to_the_later_outcome(self, monkeypatch):
+    def test_never_draws_a_zero_probability_outcome(self):
         # 0.6|00> + 0.8|01> in the computational basis: probabilities
-        # (0.36, 0, 0.64, 0); a draw equal to the first cumulative sum
-        # passes the zero outcome and lands on PsiPlus, as in the sampler
+        # (0.36, 0, 0.64, 0); only PhiPlus and PsiPlus are ever drawn
         state = tensor(make_state(("a", "b"), (0.6, 0.8, 0, 0)), qcore.basis_state(("c",), "0"))
         basis = general_basis(BasisParams(0, 0))
-        probs = [o.probability for o in measure.project_all(state, ("a", "b"), basis)]
-
-        class OnTheStep:
-            def __init__(self, seed):
-                pass
-
-            def random(self, size=None):
-                return probs[0] if size is None else np.full(size, probs[0])
-
-        assert next(teleport.sample_outcomes(np.array([probs]), 1, OnTheStep(0))).tolist() == [2]
-        monkeypatch.setattr(np.random, "default_rng", OnTheStep)
-        assert measure.sample(state, ("a", "b"), basis, 0).label == "PsiPlus"
+        labels = {measure.sample(state, ("a", "b"), basis, seed).label for seed in range(300)}
+        assert labels == {"PhiPlus", "PsiPlus"}
 
     def test_equals_the_drawn_outcome_of_project_all(self):
         # sample builds only the drawn outcome's residual; it must be the
-        # outcome project_all gives at the inverse-CDF index of the seed's
-        # draw: same label, probability bits and residual amplitudes.
+        # outcome project_all gives at the index sample_outcomes draws for
+        # the seed: same label, probability bits and residual amplitudes.
         rng = np.random.default_rng(11)
         for trial in range(40):
             vec = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -178,10 +167,9 @@ class TestSample:
                 state = make_state(("a", "b", "c"), vec)
             basis = general_basis(BasisParams(*(complex(*rng.uniform(-2, 2, size=2)) for _ in range(2))))
             outcomes = measure.project_all(state, ("a", "b"), basis)
-            cdf = np.cumsum([o.probability for o in outcomes])
+            probs = [[o.probability for o in outcomes]]
             for seed in range(50 * trial, 50 * trial + 50):
-                u = np.random.default_rng(seed).random()
-                want = outcomes[min(int(np.searchsorted(cdf, u, side="right")), 3)]
+                want = outcomes[teleport.sample_outcomes(probs, 1, np.random.default_rng(seed))[0]]
                 got = measure.sample(state, ("a", "b"), basis, seed)
                 assert (got.label, got.probability.hex()) == (want.label, want.probability.hex())
                 if want.residual is None:
