@@ -366,9 +366,9 @@ def _cmd_teleport(args):
 def _sample_outcomes(probabilities, shots, rng, report):
     # shot i uses input i mod len(probabilities); faithful-branch
     # probability is input independent, so the faithful frequency
-    # estimates the same number whatever the inputs. Each row is divided
-    # by its sum: inputs are normalized within TOL_EQ, the sampler's rows
-    # must sum to 1 within TOL_NORM.
+    # estimates the same number whatever the inputs. Each row is divided by
+    # its sum: rows sum to 1 within 2 TOL_NORM (input norm and completeness),
+    # and the sampler's bound is TOL_NORM.
     rows = probabilities / probabilities.sum(axis=1, keepdims=True)
     totals = teleport.count_outcomes(rows, shots, rng)
     counts = {label: int(c) for label, c in zip(BASIS_LABELS, totals)}

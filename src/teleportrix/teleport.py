@@ -34,12 +34,12 @@ array of G parameter tuples at once; transfer_matrices and
 protocol_branches are its batch of one, and sweeps over the resource
 parameter go through two_faithful_stack / one_faithful_stack.
 evaluate_inputs takes the one-tuple stack, computes its four polar
-corrections in closed form (_corrections), and applies the matrices to
-a whole (K, 2) batch of inputs at once. Shots against the batch follow
-measure's sampling rule (shot s of input s mod K, one multinomial draw of
-each input's counts): sample_outcomes gives the outcome index of every
-shot, count_outcomes only the four counts, in time and memory O(K)
-whatever the shot count. run is the batch of one.
+corrections in closed form (_corrections), and evaluates a whole (K, 2)
+batch of inputs as quadratic forms (see InputBatch). Shots against the
+batch follow measure's sampling rule (shot s of input s mod K, one
+multinomial draw of each input's counts): sample_outcomes gives the
+outcome index of every shot, count_outcomes only the four counts, in
+time and memory O(K) whatever the shot count. run is the batch of one.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .complexfmt import MODULUS_BOUND, finite_complex, finite_rows, squared_modu
 from .ebasis import BASIS_LABELS, BasisParams, general_basis, regime_name, resource_state
 from .errors import BadInput, CompletenessError, NonFinite, SingularMatrix
 from .measure import count_outcomes, sample_outcomes  # re-exported under their teleport names
-from .qcore import PureState, matvec, rowwise_norm, rowwise_vdot
+from .qcore import PureState
 from .tolerances import TOL_EQ, TOL_NORM, TOL_PROB
 
 INFINITE = math.inf
@@ -171,21 +171,29 @@ class BranchStack:
 
 @dataclass(frozen=True, eq=False)
 class InputBatch:
-    """Every branch of every input in a batch of K inputs.
+    """Every branch of every input psi = (alpha, beta) in a batch of K inputs.
 
-    probabilities[i, k] = ||M_k psi_i||^2. bob[i, k] is Bob's corrected,
-    renormalized state and fidelities[i, k] its fidelity with psi_i;
-    below TOL_PROB, bob is zero and the fidelity NaN. A faithful branch
-    is kept down to the smallest normal float, since its state is exact
-    at any scale; below that the probability has lost bits, and the state
-    renormalised by its square root is off unit norm by up to 1e-2.
-    corrections holds the four (input-independent) correction unitaries.
+    M_k has one nonzero entry per column, so H_k = U_k M_k = sqrt(M_k^dag M_k) is diagonal.
+    With g and h (polar) the diagonals of M_k^dag M_k and H_k, probabilities[i, k] = p =
+    |alpha|^2 g0 + |beta|^2 g1, fidelities[i, k] = min((|alpha|^2 h0 + |beta|^2 h1)^2 / p, 1),
+    and bob[i, k], built on first read, is Bob's corrected state (alpha h0, beta h1) / sqrt(p).
+    Below TOL_PROB, bob is zero and the fidelity NaN. A faithful branch is kept down to the
+    smallest normal float, since its state is exact at any scale; below that the probability
+    has lost bits, and the state renormalised by its square root is off unit norm by up to
+    1e-2. corrections holds the U_k, inputs the psi.
     """
 
     probabilities: np.ndarray
     corrections: np.ndarray
-    bob: np.ndarray
     fidelities: np.ndarray
+    inputs: np.ndarray
+    polar: np.ndarray
+
+    @cached_property
+    def bob(self) -> np.ndarray:
+        root = np.sqrt(np.where(np.isnan(self.fidelities), np.inf, self.probabilities))  # bob is 0 where not kept
+        # complex times real: (re * s, im * s), each a single rounded product
+        return self.inputs[:, None, :] * (self.polar / root[..., None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,55 +502,47 @@ def _parsed_input(input_amps) -> tuple:
         raise BadInput(str(exc)) from None
 
 
-def _input_array(inputs) -> np.ndarray:
-    """(K, 2) complex array of finite, normalized (alpha, beta) rows."""
+def evaluate_inputs(stack: BranchStack, inputs) -> InputBatch:
+    """Probabilities, corrected states and fidelities of a batch of inputs.
+
+    stack is the one-tuple stack of protocol_branches; inputs a (K, 2) array or
+    K (alpha, beta) pairs, each finite with |alpha|^2 + |beta|^2 = 1 within
+    TOL_NORM. Branch k of input i conditions Bob's qubit on M_k psi_i.
+    """
+    if len(stack.probabilities) != 1:
+        raise BadInput(f"evaluate_inputs needs a stack of one parameter tuple, got {len(stack.probabilities)}")
     try:
         psi = np.asarray(inputs, dtype=complex)
     except (TypeError, ValueError):
         raise BadInput("inputs must be (alpha, beta) pairs of complex numbers") from None
     if psi.ndim != 2 or psi.shape[0] == 0 or psi.shape[1] != 2:
         raise BadInput(f"inputs must be a nonempty sequence of (alpha, beta) pairs, got shape {psi.shape}")
-    if not np.all(np.isfinite(psi)):
-        raise BadInput("input amplitudes must be finite")
-    if np.any(np.abs(rowwise_vdot(psi, psi).real - 1.0) > TOL_EQ):
-        raise BadInput("input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
-    return psi
-
-
-def evaluate_inputs(stack: BranchStack, inputs) -> InputBatch:
-    """Probabilities, corrected states and fidelities of a batch of inputs.
-
-    stack is the one-tuple stack of protocol_branches; inputs a (K, 2)
-    array or K (alpha, beta) pairs, each finite and normalized. Branch k
-    of input i conditions Bob's qubit on M_k psi_i.
-    """
-    if len(stack.probabilities) != 1:
-        raise BadInput(f"evaluate_inputs needs a stack of one parameter tuple, got {len(stack.probabilities)}")
-    psi = _input_array(inputs)
+    with np.errstate(over="ignore"):  # |alpha|^2 is inf from |alpha| = 1e154 up
+        moduli = psi.real * psi.real + psi.imag * psi.imag
+    if not (np.abs((moduli[:, 0] + moduli[:, 1]) - 1.0) <= TOL_NORM).all():  # so NaN and inf fail
+        raise BadInput("input amplitudes must be finite, with |alpha|^2 + |beta|^2 = 1 within TOL_NORM")
     matrices = stack.matrices[0]
     corrections = _corrections(matrices)
-    conditioned = matvec(matrices, psi[:, None, :])
-    probs = rowwise_vdot(conditioned, conditioned).real
-    kept = (probs >= TOL_PROB) | (stack.faithful[0] & (probs >= sys.float_info.min))
-    bob = matvec(corrections, conditioned) / np.sqrt(np.where(kept, probs, 1.0))[..., None]
-    bob[~kept] = 0.0
-    overlap = rowwise_vdot(bob, psi[:, None, :])
-    # |overlap|^2 as qcore.fidelity takes it for one state: hypot, then
-    # the C pow of a float's ** (see complexfmt.squared_moduli).
-    fids = np.minimum(np.float_power(np.hypot(overlap.real, overlap.imag), 2.0), 1.0)
-    fids[~kept] = np.nan
-    return InputBatch(probs, corrections, bob, fids)
+    # terms [k, j, i] are |M_k[i, j]|^2 and Re(U_k[j, i] M_k[i, j]), summed over i to g and h
+    mr, mi = matrices.real.swapaxes(-1, -2), matrices.imag.swapaxes(-1, -2)
+    terms = np.array([mr * mr + mi * mi, corrections.real * mr - corrections.imag * mi])
+    forms = terms[..., 0] + terms[..., 1]  # (2, 4, 2): g, h
+    probs, overlaps = moduli[:, :1] * forms[:, None, :, 0] + moduli[:, 1:] * forms[:, None, :, 1]
+    kept = probs >= np.where(stack.faithful[0], sys.float_info.min, TOL_PROB)
+    ratio = overlaps / np.sqrt(np.where(kept, probs, np.nan))  # NaN where not kept
+    fids = np.minimum(ratio * ratio, 1.0)
+    return InputBatch(probs, corrections, fids, psi, forms[1])
 
 
 def haar_inputs(count: int, rng) -> np.ndarray:
     """count Haar-random inputs as a (count, 2) array.
 
     Each row takes four normal draws, two real parts then two imaginary
-    parts, and is scaled to unit norm.
+    parts, and is divided by its norm, in real float operations.
     """
     g = rng.normal(size=(count, 2, 2))
-    vec = g[:, 0] + 1j * g[:, 1]
-    return vec / rowwise_norm(vec)[:, None]
+    unit = g / np.sqrt((g * g).sum(axis=2).sum(axis=1))[:, None, None]  # two-term sums: any order rounds alike
+    return unit[:, 0] + 1j * unit[:, 1]
 
 
 def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int | None = None) -> RunResult:
@@ -568,7 +568,7 @@ def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int 
         return RunResult(tuple(records), report)
     shots = measure._shot_count(shots, 1)
     seed = 0 if seed is None else seed
-    # the input's norm is checked within TOL_EQ, the sampler's row sums within TOL_NORM
+    # rows sum to 1 within 2 TOL_NORM (input norm and completeness), the sampler's bound is TOL_NORM
     rows = batch.probabilities / batch.probabilities.sum(axis=1, keepdims=True)
     indices = sample_outcomes(rows, shots, np.random.default_rng(seed))
     labels = tuple(_LABEL_ARRAY[indices].tolist())

@@ -1,18 +1,23 @@
-"""branch_stack, the polar corrections and the sweep's column text give the
-same bits under every BLAS kernel and SIMD dispatch.
+"""branch_stack, the polar corrections, the sweep's column text, the Haar
+inputs, evaluate_inputs and the teleport command's stdout give the same
+bits under every BLAS kernel and SIMD dispatch.
 
 numpy's bundled OpenBLAS picks its kernel from the CPU at run time
 (OPENBLAS_CORETYPE overrides the pick), and numpy's own loops dispatch on
 the CPU's SIMD features (NPY_DISABLE_CPU_FEATURES turns some off). One
-child interpreter per setting hashes the probabilities and faithful flags
-of branch_stack over complex log-uniform tuples, the corrections of their
-matrices, and cli._column of float64 columns at 6, 12 and 17 digits
-(exact decimal ties, their neighbours and negative values among them);
-every hash must be equal. The column text comes from exactly rounded
-elementwise operations only, so no dispatch may change it.
+child interpreter per setting prints one hash per part: the probabilities
+and faithful flags of branch_stack over complex log-uniform tuples, the
+corrections of their matrices, cli._column of float64 columns at 6, 12
+and 17 digits (exact decimal ties, their neighbours and negative values
+among them), haar_inputs, the probabilities and fidelities that
+evaluate_inputs gives for Haar inputs at every tuple, and the stdout of
+every teleport argv of the golden digests. Every setting must print the
+same lines. The column text comes from exactly rounded elementwise
+operations only, so no dispatch may change it.
 The kernels and features named are x86-64 ones.
 """
 
+import json
 import os
 import platform
 import subprocess
@@ -20,15 +25,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_golden import GOLDEN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The tuples come from math and cmath one element at a time: np.exp
 # itself changes bits with the SIMD dispatch.
 _CHILD = """
-import cmath, hashlib, math, random
+import cmath, contextlib, hashlib, io, json, math, random, sys
 import numpy as np
 from teleportrix import cli, teleport
+def line(name, digest):
+    print(name, digest.hexdigest())
 rnd = random.Random(61)
 def decoded(matrix):
     # the text of each row of a character matrix: its bytes less the zeros
@@ -42,6 +50,8 @@ stack = teleport.branch_stack(*zip(*tuples))
 digest = hashlib.sha256(np.ascontiguousarray(stack.probabilities).tobytes())
 digest.update(np.ascontiguousarray(stack.faithful).tobytes())
 digest.update(teleport._corrections(stack.matrices).tobytes())
+line("branch_stack", digest)
+digest = hashlib.sha256()
 for digits in (6, 12, 17):
     column = [10.0 ** rnd.uniform(-3.0, 15 - digits - 0.01) for _ in range(2000)]
     # multiples of 2^-(digits + 1): exact ties at `digits` places where odd
@@ -54,7 +64,20 @@ for digits in (6, 12, 17):
     assert not outside.any()
     assert decoded(text) == cells == [repr(round(v, digits)) for v in column.tolist()]
     digest.update(",".join(cells).encode())
-print(digest.hexdigest())
+line("columns", digest)
+inputs = teleport.haar_inputs(1000, np.random.default_rng(62))
+line("haar_inputs", hashlib.sha256(inputs.tobytes()))
+digest = hashlib.sha256()
+for n, l, p in tuples:
+    batch = teleport.evaluate_inputs(teleport.protocol_branches(teleport.ProtocolParams(n, l, p)), inputs[:16])
+    digest.update(batch.probabilities.tobytes())
+    digest.update(batch.fidelities.tobytes())
+line("evaluate_inputs", digest)
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    line(" ".join(argv), hashlib.sha256(out.getvalue().encode()))
 """
 
 
@@ -75,11 +98,16 @@ def _settings() -> list:
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="OpenBLAS core types and the disabled SIMD features name x86-64 kernels")
 def test_branch_stack_bits_do_not_depend_on_the_kernel():
-    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
-    hashes = {}
+    unset = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "TELEPORTRIX_SEED")
+    base = {k: v for k, v in os.environ.items() if k not in unset}
+    argvs = json.dumps([argv for argv, _ in GOLDEN if argv[0] == "teleport"])
+    outputs = {}
     for setting in _settings():
-        proc = subprocess.run([sys.executable, "-c", _CHILD], env=dict(base, PYTHONPATH=str(SRC), **setting),
+        proc = subprocess.run([sys.executable, "-c", _CHILD, argvs], env=dict(base, PYTHONPATH=str(SRC), **setting),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        hashes[str(setting)] = proc.stdout.strip()
-    assert len(set(hashes.values())) == 1, hashes
+        for part, digest in (line.rsplit(" ", 1) for line in proc.stdout.splitlines()):
+            outputs.setdefault(part, {})[str(setting)] = digest
+    # one hash per part, so a failure names the parts that differ and where
+    differing = {part: digests for part, digests in outputs.items() if len(set(digests.values())) > 1}
+    assert not differing, differing

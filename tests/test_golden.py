@@ -9,6 +9,7 @@ the per-point sweep (one transfer_matrices call per grid point); the
 stacked sweep must reproduce those bytes too.
 """
 
+import cmath
 import hashlib
 import math
 
@@ -52,17 +53,19 @@ GOLDEN = [
       "--p", "3.448275862069+1.379310344828i", "--mode", "sampled",
       "--random-input", "200", "--shots", "100000", "--seed", "1", "--precision", "17"],
      "cb9d9081373a281d8cafcff3a3b47aa5504d76f708260ef89f00a8a96016629d"),
+    # re-recorded for the quadratic-form branch probabilities and fidelities
+    # (last digits at 17 digits move)
     (["teleport", "--n", "0.7-0.2i", "--l", "0.7+0.2i", "--p", "0.7+0.2i", "--mode", "sampled",
       "--random-input", "311", "--shots", "30001", "--seed", "7", "--output", "csv",
       "--precision", "17"],
-     "4b1048deb5a50baf421b8ed2940c255c114dbca299855d7450c1e3e6f9d971f3"),
+     "bdb6909f855fbb3f3b6beaf575e018becf559b0d4ca872cb9d433ccf8f19b68c"),
     # exhaustive fixed input
     (["teleport", "--n", "0.5", "--l", "0.5", "--p", "2", "--alpha", "0.6", "--beta", "0.8i"],
      "1cc976caa0392c11fd3ea65d13f93f2a36dc9d787130b68edfa2d1e758177472"),
-    # sampled fixed input
+    # sampled fixed input; re-recorded for the quadratic forms
     (["teleport", "--n", "0.5", "--l", "0.5", "--p", "2", "--alpha", "0.6", "--beta", "-0.8",
       "--mode", "sampled", "--shots", "4097", "--seed", "9", "--precision", "17"],
-     "5ec4d65b759ea6c5d37c5437d122e465d664a5e2b8e8ce4acd9874d23b73295f"),
+     "feb9d9806c5c67dc9433ac5802d172c5c9ee0722d0af37a055042cf440d7dd04"),
     (["swap", "--m", "0.5", "--n", "2", "--l", "0.5", "--p", "2", "--l-prime", "0.5",
       "--p-prime", "0.5"],
      "4c2799a5eeca777c145c3db3ac8cef8d748a76634d6a2bb7974f4eeab11282e3"),
@@ -83,10 +86,11 @@ GOLDEN = [
     (["classify", *_NO_FAITHFUL, "--output", "csv"],
      "8deedb1405fb0bdb520d84eaf189e81c4349b201e54d01fbe497c7cc8f94b381"),
     # exhaustive fixed input as CSV: empty empirical_frequency cells; re-recorded
-    # for the closed-form polar correction, whose faithful fidelity here is 1.0
+    # for the closed-form polar correction, whose faithful fidelity here is 1.0,
+    # and for the quadratic forms
     (["teleport", "--n", "0.3+0.4i", "--l", "0.3+0.4i", "--p", "3", "--alpha", "0.6",
       "--beta", "0.8i", "--output", "csv", "--precision", "17"],
-     "6e655534c37e8976aa1109802b1e9b3234fe1586feaf55a8da304036fdb9426e"),
+     "85cb5c62178f7277a7752936d1928d5eef7c70a9a89791ab349fff084f5895d9"),
     # two outcomes below TOL_PROB: null entropy and target
     (["swap", *_DEAD_OUTCOMES],
      "8ab59cb2f9edef365cceffe0372a589a9b79d7755098e7cfa40d54089e53f5f7"),
@@ -267,15 +271,64 @@ def test_batch_probabilities_match_projective_measurement():
                     assert abs(batch.fidelities[i, k] - 1.0) < TOL_EQ
 
 
+def _log_uniform_params(rng, zero):
+    # |n|, |l|, |p| log-uniform in 1e-8..1e8 with uniform phases; the
+    # parameter named by `zero`, if any, is 0
+    def draw():
+        return cmath.rect(10.0 ** rng.uniform(-8.0, 8.0), rng.uniform(0.0, 2.0 * math.pi))
+    return teleport.ProtocolParams(*(0j if name == zero else draw() for name in ("n", "ell", "p")))
+
+
+@pytest.mark.parametrize("zero", [None, "n", "ell", "p"])
+def test_quadratic_forms_hold_at_any_scale(zero):
+    # evaluate_inputs drops the off-diagonals of H_k = U_k M_k and reads its
+    # real diagonal: they must be exactly 0, and the diagonal real and >= 0.
+    # Its fidelities must be those of Bob's states, from the record and by
+    # brute force (U_k M_k psi renormalized), and its probabilities those of
+    # the projective measurement.
+    rng = np.random.default_rng(33)
+    for _ in range(50):
+        params = _log_uniform_params(rng, zero)
+        stack = teleport.protocol_branches(params)
+        inputs = teleport.haar_inputs(4, rng)
+        batch = teleport.evaluate_inputs(stack, inputs)
+        h = batch.corrections @ stack.matrices[0]
+        assert np.all(h[:, 0, 1] == 0.0) and np.all(h[:, 1, 0] == 0.0)
+        diagonal = np.stack([h[:, 0, 0], h[:, 1, 1]], axis=-1)
+        assert np.all(batch.polar >= 0.0)
+        assert np.all(np.abs(diagonal.real - batch.polar) <= 1e-15 * batch.polar)
+        assert np.all(np.abs(diagonal.imag) <= 1e-15 * batch.polar)
+        for i, psi in enumerate(inputs):
+            target = PureState(("2",), psi)
+            measured = teleport.measured_probabilities(tuple(psi), params)
+            for k, record in enumerate(teleport.run(tuple(psi), params).records):
+                assert abs(batch.probabilities[i, k] - measured[record.label]) < TOL_NORM
+                if record.bob_state is None:
+                    assert np.isnan(batch.fidelities[i, k])
+                    continue
+                bob = batch.corrections[k] @ (stack.matrices[0, k] @ psi)
+                brute = PureState(("2",), bob / np.linalg.norm(bob))
+                assert abs(batch.fidelities[i, k] - qcore.fidelity(record.bob_state, target)) < 1e-12
+                assert abs(batch.fidelities[i, k] - qcore.fidelity(brute, target)) < 1e-12
+
+
 def _reference_branch(matrix, psi):
-    # the per-input arithmetic of the loop the kernel replaced, with the
-    # one-matrix polar correction
-    conditioned = matrix @ psi
-    prob = float(np.vdot(conditioned, conditioned).real)
+    # one branch of one input in Python floats: p = |alpha|^2 g0 + |beta|^2 g1
+    # with g the Gram diagonal of M (one nonzero entry per column), and
+    # fidelity (q / sqrt(p))^2 with q = |alpha|^2 h0 + |beta|^2 h1, h the real
+    # diagonal of U M for the one-matrix polar correction U
+    a2, b2 = (z.real * z.real + z.imag * z.imag for z in map(complex, psi))
+    m = [[complex(z) for z in row] for row in matrix]
+    u = [[complex(z) for z in row] for row in reference_correction(matrix)]
+    g = [(m[0][j].real * m[0][j].real + m[0][j].imag * m[0][j].imag)
+         + (m[1][j].real * m[1][j].real + m[1][j].imag * m[1][j].imag) for j in (0, 1)]
+    h = [(u[j][0].real * m[0][j].real - u[j][0].imag * m[0][j].imag)
+         + (u[j][1].real * m[1][j].real - u[j][1].imag * m[1][j].imag) for j in (0, 1)]
+    prob = a2 * g[0] + b2 * g[1]
     if prob < TOL_PROB:
         return prob, None
-    bob = PureState(("2",), reference_correction(matrix) @ conditioned / math.sqrt(prob))
-    return prob, qcore.fidelity(bob, PureState(("2",), psi))
+    ratio = (a2 * h[0] + b2 * h[1]) / math.sqrt(prob)
+    return prob, min(ratio * ratio, 1.0)
 
 
 def test_batch_equals_per_input_loop_bit_for_bit():

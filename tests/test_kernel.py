@@ -6,6 +6,7 @@ import pytest
 from teleportrix import teleport
 from teleportrix.errors import BadInput, CompletenessError, NonFinite
 from teleportrix.teleport import ProtocolParams
+from teleportrix.tolerances import TOL_NORM
 
 
 class TestCompleteness:
@@ -75,6 +76,7 @@ class TestInputBatch:
         [(1, 0), (0.6, 0.6)],
         [(np.nan, 1)],
         [(np.inf, 0)],
+        [(1e200, 0)],  # |alpha|^2 overflows, with no warning
     ])
     def test_bad_batches_are_rejected(self, inputs):
         branches = teleport.protocol_branches(ProtocolParams(0.5, 0.5, 2))
@@ -90,6 +92,22 @@ class TestInputBatch:
         assert faithful.sum() == 2
         col = batch.probabilities[:, faithful]
         assert np.allclose(col, teleport.success_probability_analytic(params.n, k=1), atol=1e-12)
+
+    def test_inputs_are_normalized_within_tol_norm(self):
+        # |0.6|^2 + |0.8 + d|^2 is off 1 by 1.6 d: 0.9 and 1.1 TOL_NORM either
+        # side of the bound, and 9.6 TOL_NORM, which is within TOL_EQ
+        params = ProtocolParams(0.5, 0.5, 2)
+        inside = (0.6, 0.8 + 0.9 * TOL_NORM / 1.6)
+        result = teleport.run(inside, params, shots=1000)
+        assert abs(sum(r.probability for r in result.records) - 1.0) < 2 * TOL_NORM
+        assert abs(sum(result.frequencies.values()) - 1.0) < 1e-12
+        stack = teleport.protocol_branches(params)
+        assert teleport.evaluate_inputs(stack, [(1, 0), inside]).probabilities.shape == (2, 4)
+        for outside in [(0.6, 0.8 + 1.1 * TOL_NORM / 1.6), (0.6, 0.8000000006)]:
+            with pytest.raises(BadInput, match="TOL_NORM"):
+                teleport.run(outside, params)
+            with pytest.raises(BadInput, match="TOL_NORM"):
+                teleport.evaluate_inputs(stack, [(1, 0), outside])
 
     def test_haar_inputs_are_normalized(self):
         inputs = teleport.haar_inputs(100, np.random.default_rng(4))

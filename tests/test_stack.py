@@ -189,11 +189,10 @@ class TestOverflowHelper:
 @given(st.lists(st.floats(-300.0, 154.0), min_size=1, max_size=40), st.integers(0, 2**32 - 1),
        st.floats(-3.0, 3.0))
 def test_float_power_is_the_power_of_a_python_float(exponents, seed, scale):
-    # squared_moduli, _repetitions and evaluate_inputs square with
-    # np.float_power(x, 2.0), which must be v ** 2 bit for bit: log-uniform
-    # magnitudes up to 1e154 (above it complexfmt takes the checked route),
-    # hypot of Gaussian pairs as moduli and fidelities are, and the float
-    # neighbours of each
+    # squared_moduli and _repetitions square with np.float_power(x, 2.0),
+    # which must be v ** 2 bit for bit: log-uniform magnitudes up to 1e154
+    # (above it complexfmt takes the checked route), hypot of Gaussian pairs
+    # as moduli are, and the float neighbours of each
     pairs = np.random.default_rng(seed).normal(size=(2, 50)) * 10.0 ** scale
     values = [10.0 ** e for e in exponents] + np.hypot(*pairs).tolist()
     values += [math.nextafter(v, toward) for v in values for toward in (0.0, math.inf)]
