@@ -29,8 +29,9 @@ _SWAP_PARAMS = ("m", "n", "l", "p", "l-prime", "p-prime")
 
 # Request size limits. Sampled shots are drawn as per-input counts, in
 # time and memory O(K) for K inputs whatever the shot count, so MAX_SHOTS
-# bounds neither; the input batch and the sweep report grow with their
-# counts, so MAX_INPUTS and MAX_GRID_POINTS bound memory.
+# bounds neither; the input batch and the sweep grow with their counts, so
+# MAX_INPUTS and MAX_GRID_POINTS bound memory. At 10^4 points a JSON sweep
+# peaks at about 370 bytes a point (its report is 154), a CSV one at 300.
 MAX_SHOTS = 10**9
 MAX_INPUTS = 10**5
 MAX_GRID_POINTS = 10**5
@@ -244,12 +245,13 @@ def _rows(columns: list, pieces: list, sep: str, digits, csv: bool) -> str:
     """The table's rows joined by sep, each pieces[0] cell pieces[1] ... cell pieces[-1].
 
     Float64 arrays of more than four rows (a sweep's columns) are laid out
-    as one character matrix, a row of it per table row, 0 where there is
-    no character: each piece is written once as a broadcast slice, each
-    column's _column text into its own slot, and one compress drops the
-    zeros. Any other table (teleport, swap and classify have at most four
-    rows) is one %-format of a row template per row, which is faster at
-    that size: _column costs about 0.1 ms a column whatever its length.
+    in blocks of a 64 KiB character matrix, a row per table row, 0 where
+    there is no character: the pieces are written once, each column's
+    _column text block by block into its slot, and each block's nonzero
+    bytes into one buffer of the report's size, decoded once. Any other
+    table (teleport, swap and classify have at most four rows) is one
+    %-format of a row template per row, which is faster at that size:
+    _column costs about 0.1 ms a column whatever its length.
     """
     if not (isinstance(columns[0], np.ndarray) and len(columns[0]) > 4):
         template = "%s".join(piece.replace("%", "%%") for piece in pieces)
@@ -257,15 +259,24 @@ def _rows(columns: list, pieces: list, sep: str, digits, csv: bool) -> str:
                  for column in columns]
         return sep.join([template] * len(cells[0])) % tuple(chain.from_iterable(zip(*cells)))
     count = len(columns[0])
-    blocks = [np.frombuffer(piece.encode(), np.uint8) for piece in [*pieces[:-1], pieces[-1] + sep]]
+    fixed = [np.frombuffer(piece.encode(), np.uint8) for piece in [*pieces[:-1], pieces[-1] + sep]]
     slots = [_column(column, digits, csv) for column in columns]
-    parts = [blocks[0], *chain.from_iterable(zip(slots, blocks[1:]))]
-    # row-major, which concatenate would not choose: the slots are transposed views
-    matrix = np.empty((count, sum(part.shape[-1] for part in parts)), np.uint8)
-    np.concatenate([np.broadcast_to(part, (count, part.shape[-1])) for part in parts], axis=1, out=matrix)
-    matrix[-1, matrix.shape[1] - len(sep):] = 0  # no sep after the last row
-    flat = matrix.ravel()
-    return flat[flat != 0].tobytes().decode("ascii")
+    parts = [fixed[0], *chain.from_iterable(zip(slots, fixed[1:]))]  # pieces at even places, slots at odd
+    edges = np.cumsum([0] + [part.shape[-1] for part in parts]).tolist()
+    matrix = np.empty((max(2**16 // edges[-1], 1), edges[-1]), np.uint8)
+    for piece, left, right in zip(parts[::2], edges[::2], edges[1::2]):
+        matrix[:, left:right] = piece
+    text = np.empty(sum(map(np.count_nonzero, fixed)) * count + sum(map(np.count_nonzero, slots)), np.uint8)
+    end = 0
+    for start in range(0, count, len(matrix)):
+        block = matrix[:count - start]
+        for slot, left, right in zip(parts[1::2], edges[1::2], edges[2::2]):
+            block[:, left:right] = slot[start:start + len(block)]
+        kept = block[block != 0]
+        text[end:end + len(kept)] = kept
+        end += len(kept)
+    del slots, parts  # freed before the decode copies the text
+    return str(text.data[:end - len(sep)], "ascii")  # no sep after the last row
 
 
 def _json(chunks: list, value, digits, pad, key=None) -> list:
@@ -465,14 +476,12 @@ def _cmd_sweep(args):
     # Success is the brute-force probability of the outcomes the chosen
     # scheme designates, so a maximally entangled grid point still
     # reports the scheme's own 0.5 even though every outcome is faithful
-    # there. The whole grid is one branch_stack.
+    # there. The whole grid is one branch_stack, released before the report
+    # is laid out: its complex entries take 128 bytes a point.
     if args.regime == "probabilistic2":
-        stack = teleport.two_faithful_stack(grid, 0)
-        designated = teleport.two_faithful_labels(0)
+        success = teleport.two_faithful_stack(grid, 0).success(teleport.two_faithful_labels(0))
     else:
-        stack = teleport.one_faithful_stack(grid, 1)
-        designated = (teleport.one_faithful_labels(1),)
-    success = stack.success(designated)
+        success = teleport.one_faithful_stack(grid, 1).success((teleport.one_faithful_labels(1),))
     with np.errstate(over="ignore"):  # 1 / s is inf below s = 1 / DBL_MAX, as in Python
         inverse = np.divide(1.0, success, out=np.full_like(success, math.inf), where=success > 0.0)
     columns = {"n": grid, "success_probability": success, "repetitions": _repetitions(grid),

@@ -30,9 +30,9 @@ form kept as a cross-check, never as the source of truth.
 
 The input-independent work (matrices, completeness, Grams,
 faithfulness, branch probabilities) is done by branch_stack for a whole
-array of G parameter tuples at once; transfer_matrices and
-protocol_branches are its batch of one, and sweeps over the resource
-parameter go through two_faithful_stack / one_faithful_stack.
+array of G parameter tuples, matrices and faithfulness on first read;
+transfer_matrices and protocol_branches are its batch of one, and sweeps
+over the resource parameter go through two_faithful_stack / one_faithful_stack.
 evaluate_inputs takes the one-tuple stack, computes its four polar
 corrections in closed form (_corrections), and evaluates a whole (K, 2)
 batch of inputs as quadratic forms (see InputBatch). Shots against the
@@ -140,15 +140,19 @@ class RegimeReport:
 class BranchStack:
     """Transfer matrices of G parameter tuples with their Gram analysis.
 
-    entries holds the (8, G) nonzero matrix entries (as _entries gives
-    them); matrices[g, k] is M_k of tuple g, in canonical label order,
-    built from them on first read. probabilities[g, k] = tr(M_k^dag M_k) / 2,
-    the input-independent probability of branch k when faithful[g, k] holds.
+    entries holds the (8, G) nonzero matrix entries (as _entries gives them), diagonals
+    their (2, G, 4) Gram diagonals. probabilities[g, k] = tr(M_k^dag M_k) / 2, the branch
+    probability that no input changes when faithful[g, k] holds. faithful and matrices
+    (M_k of tuple g at [g, k], in label order) are built on first read: a sweep reads neither.
     """
 
     entries: np.ndarray
+    diagonals: np.ndarray
     probabilities: np.ndarray
-    faithful: np.ndarray
+
+    @cached_property
+    def faithful(self) -> np.ndarray:
+        return _faithful(self.diagonals, self.probabilities)
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -219,18 +223,17 @@ def branch_stack(n, ell, p) -> BranchStack:
     the entries (see there), so a tuple gives the same bits whatever G.
     """
     entries = _entries(finite_rows([n, ell, p], "n, ell and p"))
-    squares = entries.real * entries.real + entries.imag * entries.imag
-    diagonals = squares[_DIAGONAL].reshape(2, 4, -1).transpose(0, 2, 1)  # (2, G, 4)
+    squares = entries.real * entries.real
+    squares += entries.imag * entries.imag
+    diagonals = squares.reshape(4, 2, -1).transpose(1, 2, 0)  # (2, G, 4)
     _check_gram_total(diagonals)
-    return BranchStack(entries, *_gram_analysis(diagonals))
+    return BranchStack(entries, diagonals, _half_traces(diagonals))
 
 
 # Flat positions, in the (4, 2, 2) stack of one tuple, of the eight
 # entries that are not identically zero, in the row order of _entries:
-# the PhiPlus/PhiMinus rows, then the PsiMinus/PsiPlus rows.
-_NONZERO = np.array([0, 3, 4, 7, 13, 14, 9, 10])
-# Rows of _entries in column 0 of M_0..M_3, then in column 1.
-_DIAGONAL = np.array([0, 2, 7, 5, 1, 3, 6, 4])
+# the entry in column 0 of M_0, then in its column 1, and so on to M_3.
+_NONZERO = np.array([0, 3, 4, 7, 10, 9, 14, 13])
 # Outcome labels as an object array, so a whole index array maps to
 # labels in one indexing step.
 _LABEL_ARRAY = np.array(BASIS_LABELS, dtype=object)
@@ -251,15 +254,15 @@ def _entries(params: np.ndarray) -> np.ndarray:
     entries = np.zeros((8, params.shape[1]), dtype=complex)
     re, im = entries.real, entries.imag
     re[0] = 1.0
-    re[1] = nr * lr - ni * -li
-    im[1] = nr * -li + ni * lr
+    re[1] = nr * lr + ni * li  # the bits of nr * lr - ni * -li and nr * -li + ni * lr
+    im[1] = ni * lr - nr * li
     entries[2] = params[1]
     entries[3] = -params[0]
-    re[4] = -1.0
-    re[5] = nr * pr - ni * pi
-    im[5] = nr * pi + ni * pr
-    entries[6] = params[2].conj()
-    entries[7] = params[0]
+    entries[4] = params[0]
+    entries[5] = params[2].conj()
+    re[6] = nr * pr - ni * pi
+    im[6] = nr * pi + ni * pr
+    re[7] = -1.0
     entries[:4] *= nw * lw
     entries[4:] *= nw * pw
     return entries
@@ -283,21 +286,22 @@ def _check_gram_total(diagonals: np.ndarray, off=None) -> None:
             f"completeness violated: sum M^dag M deviates from I by {float(deviation)!r}")
 
 
-def _gram_analysis(diagonals: np.ndarray, off=None) -> tuple:
-    """Half traces c = tr(G)/2 and faithfulness of Grams G given as to _check_gram_total.
+def _half_traces(diagonals: np.ndarray) -> np.ndarray:
+    return (diagonals[0] + diagonals[1]) / 2.0
 
-    Faithful means G / c = I to a relative TOL_EQ with c > 0, so a faithful
-    branch of probability 1e-200 is still faithful; c == 0 (and NaN) is not.
-    g01 / c divides its parts: numpy's complex / real multiplies by 1 / c,
-    which is inf below c = 1 / DBL_MAX.
-    """
-    c = (diagonals[0] + diagonals[1]) / 2.0
+
+def _faithful(diagonals: np.ndarray, c: np.ndarray, off=None) -> np.ndarray:
+    """Whether Grams G given as to _check_gram_total, of half traces c = tr(G)/2, are
+    faithful: G / c = I to a relative TOL_EQ with c > 0, so a branch of probability
+    1e-200 may be faithful, c == 0 (and NaN) is not. g01 / c divides its parts: numpy's
+    complex / real multiplies by 1 / c, which is inf below c = 1 / DBL_MAX."""
     positive = c > 0.0
     scale = np.where(positive, c, 1.0)
-    deviation = np.maximum(*np.abs(diagonals / scale - 1.0))
+    ratios = np.abs(diagonals / scale - 1.0)
+    deviation = np.maximum(ratios[0], ratios[1])  # two indexings cost less than unpacking
     if off is not None:
         deviation = np.maximum(deviation, np.hypot(off.real / scale, off.imag / scale))
-    return c, positive & (deviation <= TOL_EQ)
+    return positive & (deviation <= TOL_EQ)
 
 
 def transfer_matrices(params: ProtocolParams) -> tuple:
@@ -322,12 +326,13 @@ def check_completeness(matrices) -> None:
 
 def is_faithful(tm: TransferMatrix) -> bool:
     """True iff M^dag M = c I for some c > 0 (relative tolerance TOL_EQ)."""
-    return bool(_gram_analysis(*_grams(tm.matrix))[1])
+    diagonals, off = _grams(tm.matrix)
+    return bool(_faithful(diagonals, _half_traces(diagonals), off))
 
 
 def branch_probability(tm: TransferMatrix) -> float:
     """Input-independent probability of a faithful branch (tr M^dag M / 2)."""
-    return float(_gram_analysis(*_grams(tm.matrix))[0])
+    return float(_half_traces(_grams(tm.matrix)[0]))
 
 
 def _corrections(mats) -> np.ndarray:

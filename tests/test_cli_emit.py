@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -190,6 +191,63 @@ def test_sweep_with_infinite_cells_equals_generic_route():
         text = _run(["sweep", f"--n-grid={grid}", "--output", output])[1]
         assert "Infinite" in text
         assert text == _old_sweep_text(grid, "probabilistic2", output, 12)
+
+
+def _block_rows(argv) -> int:
+    """Rows per block of the sweep's character matrix: 2^16 // its width, the
+    piece bytes of a row plus the width of each column's _column slot."""
+    widths = []
+    rows = cli._rows
+
+    def spy(columns, pieces, sep, digits, csv):
+        slots = sum(cli._column(column, digits, csv).shape[1] for column in columns)
+        widths.append(sum(map(len, pieces)) + len(sep) + slots)
+        return rows(columns, pieces, sep, digits, csv)
+
+    with mock.patch.object(cli, "_rows", spy):
+        assert _run(argv)[0] == 0
+    return 2**16 // widths[0]
+
+
+@pytest.mark.parametrize("digits", [6, 12, 17])
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_sweep_across_block_boundaries_equals_generic_route(output, digits):
+    # step 2^-10, so start + i * step is exact and the last grid below ends on n = 0
+    step = 2.0**-10
+    argv = ["--output", output, "--precision", str(digits)]
+    block = _block_rows(["sweep", f"--n-grid=0.05:{0.05 + 9 * step!r}:{step!r}", *argv])
+    for count in (block - 1, block, block + 1, 7 * block // 2):
+        grid = f"0.05:{0.05 + (count - 1) * step!r}:{step!r}"
+        expected = _old_sweep_text(grid, "probabilistic2", output, digits)
+        assert _run(["sweep", f"--n-grid={grid}", *argv]) == (0, expected, "")
+    # n = 0, its Infinite cells and the near-0 values outside the fixed-point
+    # range lie in the last of four blocks only
+    count = 7 * block // 2
+    grid = f"{-(count - 1) * step!r}:0:{step!r}"
+    for regime in ("probabilistic2", "probabilistic1"):
+        text = _run(["sweep", f"--n-grid={grid}", "--regime", regime, *argv])[1]
+        assert "Infinite" in text[-len(text) // 4:] and "Infinite" not in text[:len(text) // 2]
+        assert text == _old_sweep_text(grid, regime, output, digits)
+
+
+def test_sweep_peak_memory_is_bounded_by_its_output():
+    # The report is laid out in 64 KiB blocks and the branch stack is released
+    # before it, so the peak is the report's text and its buffer plus small
+    # change; a whole character matrix with its mask and compressed copy, or
+    # the stack's complex entries kept alive, take it past five times.
+    argv = ["sweep", "--n-grid", "0.05:5.05:0.0005", "--output", "json"]
+    _run(argv)
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = len(out.getvalue())
+    assert size > 1_500_000
+    assert peak <= 3.5 * size, peak / size
 
 
 @pytest.mark.parametrize("n,l,p", [("0.5", "0.5", "0.5"), ("1", "1", "1"), ("0", "1", "1")])

@@ -44,6 +44,24 @@ class TestBranchStack:
         np.testing.assert_array_equal(stack.success(labels),
                                       stack.probabilities[:, 1] + stack.probabilities[:, 3])
 
+    def test_faithful_is_built_on_first_read_and_equals_the_eager_analysis(self):
+        stack = teleport.two_faithful_stack(np.linspace(0.1, 3.0, 50), 0)
+        stack.success(teleport.two_faithful_labels(0))
+        assert "faithful" not in stack.__dict__ and "matrices" not in stack.__dict__
+        rng = np.random.default_rng(47)
+        tuples = [tuple(cmath.rect(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2.0 * math.pi))
+                        for _ in range(3)) for _ in range(300)]
+        # every other tuple has l = n, so PhiMinus is faithful there; at
+        # n = l = 0 PhiMinus is the zero matrix, c == 0, and not faithful
+        tuples = [(n, n if i % 2 else l, p) for i, (n, l, p) in enumerate(tuples)] + [(0, 0, 2)]
+        stack = teleport.branch_stack(*zip(*tuples))
+        faithful = stack.faithful
+        assert "faithful" in stack.__dict__ and "matrices" not in stack.__dict__
+        # the eager analysis of the Grams np.matmul forms from the matrices
+        eager = [[teleport.is_faithful(TransferMatrix("x", m)) for m in mats] for mats in stack.matrices]
+        assert faithful.tolist() == eager
+        assert faithful[1::2, 1].all() and not faithful[-1, 1] and stack.probabilities[-1, 1] == 0.0
+
     @pytest.mark.parametrize("args", [([1, 2], [1], [1, 2]), ([[1]], [[1]], [[1]]), (1, 1, 1), ([], [], [])])
     def test_mismatched_or_non_vector_parameters_are_rejected(self, args):
         with pytest.raises(BadInput):
