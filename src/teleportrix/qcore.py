@@ -210,33 +210,64 @@ def _svd2(a: np.ndarray):
     (lam1 = (g00 + g11) / 2 + hypot((g00 - g11) / 2, |g01|)); s1 = |a v1|,
     u1 = a v1 / s1; u2 is u1's orthogonal turned to the phase of its overlap
     with a v2, s2 that overlap's modulus (capped at s1 against rounding).
-    Each branch is an np.where, so a matrix gives the same bits whatever the stack.
+    Products are cmul's and complex / real divides the parts, so no BLAS
+    kernel or SIMD dispatch sets the bits; each branch is an np.where, so a
+    matrix gives the same bits whatever the stack.
     """
     a = np.asarray(a, dtype=complex)
     scale = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1))
     scale = np.where(scale > 0.0, scale, 1.0)[..., None, None]
-    # part by part: numpy's complex / real multiplies by 1 / scale, inf for a subnormal scale
-    a = a.real / scale + 1j * (a.imag / scale)
-    g = np.matmul(a.conj().swapaxes(-1, -2), a)
-    g00, g01, g10, g11 = (g[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    half = 0.5 * (g00.real - g11.real)
+    a = from_parts(a.real / scale, a.imag / scale)
+    (g00, g11), g01 = gram(a)
+    half = 0.5 * (g00 - g11)
     r = np.hypot(half, np.hypot(g01.real, g01.imag))
-    c = np.where((half <= 0.0)[..., None], np.stack([g01, r - half], axis=-1), np.stack([r + half, g10], axis=-1))
+    c = np.where((half <= 0.0)[..., None], np.stack([g01, r - half], -1), np.stack([r + half, g01.conj()], -1))
     nv = np.hypot(np.hypot(c[..., 0].real, c[..., 0].imag), np.hypot(c[..., 1].real, c[..., 1].imag))[..., None]
-    # Branches not taken are computed too. Below the smallest normal nv, g is
-    # a multiple of I (any v1 serves), below the smallest normal s2 any phase
-    # does, and there numpy's complex / real overflows 1 / nv or 1 / s2.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v1 = np.where(nv >= sys.float_info.min, c / nv, _E0)
-        u1 = matvec(a, v1)
-        s1 = rowwise_norm(u1)
-        u1 = np.where((s1 > 0.0)[..., None], u1 / s1[..., None], _E0)
+    # Branches not taken are computed too: 0 / 0 where nv, s1 or s2 is 0. Below
+    # the smallest normal nv, g is a multiple of I (any v1 serves), and below
+    # the smallest normal s2 any phase does.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v1 = np.where(nv >= sys.float_info.min, from_parts(c.real / nv, c.imag / nv), _E0)
+        u1 = _matvec(a, v1)
+        squares = u1.real * u1.real + u1.imag * u1.imag
+        s1 = np.sqrt(squares[..., 0] + squares[..., 1])[..., None]
+        u1 = np.where(s1 > 0.0, from_parts(u1.real / s1, u1.imag / s1), _E0)
         v2, perp = (np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1) for x in (v1, u1))
-        overlap = rowwise_vdot(perp, matvec(a, v2))
-        s2 = np.hypot(overlap.real, overlap.imag)
-        u2 = np.where((s2 >= sys.float_info.min)[..., None], overlap[..., None] * perp / s2[..., None], perp)
-    s = scale[..., 0] * np.stack([s1, np.minimum(s2, s1)], axis=-1)
+        image = _matvec(a, v2)
+        overlap = cmul(perp[..., 0].conj(), image[..., 0]) + cmul(perp[..., 1].conj(), image[..., 1])
+        s2 = np.hypot(overlap.real, overlap.imag)[..., None]
+        turned = cmul(overlap[..., None], perp)
+        u2 = np.where(s2 >= sys.float_info.min, from_parts(turned.real / s2, turned.imag / s2), perp)
+    s = scale[..., 0] * np.concatenate([s1, np.minimum(s2, s1)], axis=-1)
     return np.stack([u1, u2], axis=-1), s, np.stack([v1, v2], axis=-1)
+
+
+def gram(mats: np.ndarray) -> tuple:
+    """(2, ...) real diagonal and (...) g01 of M^dag M for a (..., 2, 2) complex stack, in real
+    float operations: |z|^2 as re * re + im * im, products by cmul, rows summed in order."""
+    squares = mats.real * mats.real + mats.imag * mats.imag
+    diagonal = squares[..., 0, :] + squares[..., 1, :]
+    off = cmul(mats[..., 0, 0].conj(), mats[..., 0, 1]) + cmul(mats[..., 1, 0].conj(), mats[..., 1, 1])
+    return np.moveaxis(diagonal, -1, 0), off
+
+
+def cmul(x, y) -> np.ndarray:
+    """x * y of complex arrays as Python forms it, (xr yr - xi yi) + i (xr yi + xi yr), each product
+    rounded: numpy's complex multiply may fuse one into the sum, as its SIMD dispatch decides."""
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    return from_parts(xr * yr - xi * yi, xr * yi + xi * yr)
+
+
+def from_parts(re, im) -> np.ndarray:
+    """Complex array of parts re and im of one shape (re + 1j * im turns a -0.0 real part into 0.0)."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats (..., 2, 2) times vecs (..., 2) by cmul, the two terms summed in column order."""
+    return cmul(mats[..., 0], vecs[..., None, 0]) + cmul(mats[..., 1], vecs[..., None, 1])
 
 
 def schmidt(s: PureState) -> SchmidtForm:
@@ -274,32 +305,6 @@ def fidelity(a: PureState, b: PureState) -> float:
         b_amps = b.as_tensor().transpose(perm).reshape(-1)
     val = abs(np.vdot(a.amps, b_amps)) ** 2
     return min(float(val), 1.0)
-
-
-def rowwise_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.vdot(a[..., :], b[..., :]) for every row, broadcast over leading axes.
-
-    Computed as a stacked (1 x n) @ (n x 1) matmul, which reduces each
-    row the way np.vdot reduces a vector, so a row gives the same bits
-    as the single-vector call.
-    """
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def rowwise_norm(vecs: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of every row of a (..., 2) complex stack, same bits."""
-    re, im = vecs.real, vecs.imag
-    return np.sqrt(rowwise_vdot(re, re) + rowwise_vdot(im, im))
-
-
-def matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """mats (..., 2, 2) times vecs (..., 2), broadcast over the leading axes.
-
-    Written out as 0 + m[:, 0] v0 + m[:, 1] v1, the products and the sum
-    from +0 of a single 2x2 matmul, so it gives the same bits, the sign
-    of a zero entry included.
-    """
-    return 0.0 + mats[..., 0] * vecs[..., None, 0] + mats[..., 1] * vecs[..., None, 1]
 
 
 def states_close(a: PureState, b: PureState) -> bool:

@@ -20,11 +20,12 @@ four-qubit state, never from the coefficient table above, so the
 closed-form probabilities can be checked against it.
 
 swap_stack does that projection for a whole array of G parameter tuples
-at once: one matmul of the measurement basis against the start states
-gives every residual, one more against the primed basis every
-coefficient, and one stacked eigvalsh every (b, 2) entropy, with no
-per-outcome state or density-matrix object. swap_run is its batch of
-one.
+at once. Each (b, 2) of the start state has one (a, 1) partner, a = b and
+1 = not 2, so outcome k leaves R_k[b, 2] = conj(B_k[b, not 2]) M (1, m)[b]
+N (n, 1)[2], the partial inner product C1^T B_k^* C2. R_k has one nonzero
+entry per row and column: its squares over the probability are its
+Schmidt weights. All of it is real float * and + in a fixed order, with
+no matmul, eigvalsh or per-outcome state. swap_run is its batch of one.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfmt import finite_complex, finite_rows, squared_moduli, squared_modulus
+from .complexfmt import finite_complex, finite_rows, squared_moduli, squared_modulus, weight
 from .ebasis import BASIS_LABELS, basis_stack, regime_name
 from .errors import NonFinite
-from .qcore import PureState, rowwise_vdot, shannon_entropy
+from .qcore import PureState, cmul, from_parts, shannon_entropy, tensor
 from .tolerances import TOL_EQ, TOL_PROB
 
 
@@ -118,23 +119,11 @@ class SwapStack:
 
 
 def swap_inputs(m, n) -> PureState:
-    """Four-qubit start state on (a, b, 1, 2)."""
-    pairs = np.array([[finite_complex(m, "m")], [finite_complex(n, "n")]])
-    return PureState(("a", "b", "1", "2"), _start_states(pairs)[0].reshape(-1))
-
-
-def _start_states(pairs: np.ndarray) -> np.ndarray:
-    """(G, 4, 4) start states [ab, 12] of a (2, G) array of m and n.
-
-    M (|00> + m |11>) times N (|01> + n |10>) by the broadcast multiply
-    np.kron uses.
-    """
-    mw, nw = 1.0 / np.sqrt(1.0 + squared_moduli(pairs, ("m", "n")))
-    first = np.zeros((pairs.shape[1], 4), dtype=complex)
-    second = np.zeros_like(first)
-    first[:, 0], first[:, 3] = mw, mw * pairs[0]
-    second[:, 1], second[:, 2] = nw, nw * pairs[1]
-    return first[:, :, None] * second[:, None, :]
+    """Four-qubit start state M (|00> + m |11>) N (|01> + n |10>) on (a, b, 1, 2)."""
+    m, n = finite_complex(m, "m"), finite_complex(n, "n")
+    mw, nw = weight(m, "m"), weight(n, "n")
+    return tensor(PureState(("a", "b"), np.array([mw, 0, 0, mw * m])),
+                  PureState(("1", "2"), np.array([0, nw, nw * n, 0])))
 
 
 def swap_stack(m, n, ell, p, ell_prime, p_prime) -> SwapStack:
@@ -142,32 +131,39 @@ def swap_stack(m, n, ell, p, ell_prime, p_prime) -> SwapStack:
 
     The arguments are (G,) arrays of finite complex numbers. An outcome
     of probability >= TOL_PROB is reliable when the magnitude of every
-    primed coefficient but the largest is at most TOL_EQ times it. The
-    arithmetic is that of the single-state routes (project_all, np.vdot,
-    entropy of reduced_density), so a tuple gives the same bits whatever G.
+    primed coefficient but the largest is at most TOL_EQ times it. Every
+    product is cmul's and every sum runs in a fixed order, so a tuple
+    gives the same bits whatever G and whatever the BLAS kernel or SIMD
+    dispatch.
     """
     params = finite_rows([m, n, ell, p, ell_prime, p_prime], "swap parameters")
-    basis = basis_stack(params[2], params[3])
-    primed = basis_stack(params[4], params[5])
-    # [ab, 12] -> [a, b, 1, 2] -> [(a, 1), (b, 2)]
-    block = _start_states(params[:2]).reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4)
-    resid = np.matmul(basis.conj(), block.reshape(-1, 4, 4))
-    probs = rowwise_vdot(resid, resid).real
+    squared_moduli(params, ("m", "n", "ell", "p", "ell_prime", "p_prime"))  # names one that overflows
+    count = params.shape[1]
+    # The family at (m, n) has the pairs M (|00> + m |11>) and N (|01> + n |10>)
+    # as PhiPlus and PsiPlus; then come the measured and the primed basis.
+    pairs, basis, primed = basis_stack(params[0::2].reshape(-1), params[1::2].reshape(-1)).reshape(3, count, 4, 4)
+    # register amplitude M (1, m)[b] N (n, 1)[2] where a = b and 1 = not 2, in (b, 2) order
+    amps = cmul(pairs[:, 0, [0, 3]][:, :, None], pairs[:, 2, [2, 1]][:, None]).reshape(count, 4)
+    # vector k's entry on (a, 1) = (b, not 2) sits at (b, 2) index ^ 1
+    resid = cmul(basis[:, :, [1, 0, 3, 2]].conj(), amps[:, None, :])
+    squares = resid.real * resid.real + resid.imag * resid.imag
+    rows = squares[..., 0::2] + squares[..., 1::2]  # one of the two terms is 0
+    probs = rows[..., 0] + rows[..., 1]
     kept = probs >= TOL_PROB
-    states = resid / np.sqrt(np.where(kept, probs, 1.0))[..., None]
-    states[~kept] = 0.0
+    norms = np.where(kept, probs, np.inf)[..., None]  # states and weights are 0 where not kept
+    root = np.sqrt(norms)
+    states = from_parts(resid.real / root, resid.imag / root)
     states.setflags(write=False)
-    coeffs = rowwise_vdot(primed[:, None], states[:, :, None])
+    terms = cmul(primed[:, None].conj(), states[:, :, None])
+    coeffs = ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
     mags = np.hypot(coeffs.real, coeffs.imag)
     others, best = np.sort(mags, axis=-1)[..., -2:].transpose(2, 0, 1)
     reliable = kept & (best > 0.0) & (others <= TOL_EQ * best)
     targets = np.where(reliable, mags.argmax(axis=-1), -1)
-    # reduced densities A A^dag of A[b, 2], all eigenvalues in one call
-    amps = states.reshape(-1, 4, 2, 2)
-    lam = np.linalg.eigvalsh(np.matmul(amps, amps.conj().swapaxes(-1, -2)))
-    entropies = np.array([shannon_entropy(pair, 1.0) for pair in lam.reshape(-1, 2).tolist()])
-    entropies = np.where(kept, entropies.reshape(kept.shape), np.nan)
-    return SwapStack(probs, states, reliable, targets, entropies)
+    # the remainder's reduced density on b is diagonal: its eigenvalues are rows / p
+    weights = (rows / norms).reshape(-1, 2).tolist()
+    entropies = np.array([shannon_entropy(pair, 1.0) for pair in weights]).reshape(kept.shape)
+    return SwapStack(probs, states, reliable, targets, np.where(kept, entropies, np.nan))
 
 
 def swap_run(params: SwapParams) -> tuple:

@@ -268,14 +268,8 @@ def _entries(params: np.ndarray) -> np.ndarray:
     return entries
 
 
-def _grams(mats: np.ndarray) -> tuple:
-    """(2, ..., K) real diagonal and (..., K) g01 of M^dag M for a (..., K, 2, 2) stack."""
-    grams = np.matmul(mats.conj().swapaxes(-1, -2), mats)
-    return np.stack([grams[..., 0, 0].real, grams[..., 1, 1].real]), grams[..., 0, 1]
-
-
 def _check_gram_total(diagonals: np.ndarray, off=None) -> None:
-    """CompletenessError unless each group's K Grams (as _grams gives them, off None
+    """CompletenessError unless each group's K Grams (as qcore.gram gives them, off None
     where all are diagonal) sum to I within TOL_NORM; adds of whole slices keep k order."""
     total = sum((diagonals[..., k] for k in range(1, diagonals.shape[-1])), diagonals[..., 0])
     deviation = np.abs(total - 1.0).max()
@@ -321,18 +315,18 @@ def check_completeness(matrices) -> None:
         matrices = np.array(list(matrices), dtype=complex)
     if matrices.size == 0:
         raise BadInput("check_completeness needs at least one matrix")
-    _check_gram_total(*_grams(matrices))
+    _check_gram_total(*qcore.gram(matrices))
 
 
 def is_faithful(tm: TransferMatrix) -> bool:
     """True iff M^dag M = c I for some c > 0 (relative tolerance TOL_EQ)."""
-    diagonals, off = _grams(tm.matrix)
+    diagonals, off = qcore.gram(tm.matrix)
     return bool(_faithful(diagonals, _half_traces(diagonals), off))
 
 
 def branch_probability(tm: TransferMatrix) -> float:
     """Input-independent probability of a faithful branch (tr M^dag M / 2)."""
-    return float(_half_traces(_grams(tm.matrix)[0]))
+    return float(_half_traces(qcore.gram(tm.matrix)[0]))
 
 
 def _corrections(mats) -> np.ndarray:

@@ -1,19 +1,23 @@
-"""branch_stack, the polar corrections, the sweep's column text, the Haar
-inputs, evaluate_inputs and the teleport command's stdout give the same
-bits under every BLAS kernel and SIMD dispatch.
+"""The arrays behind every number the CLI reports give the same bits under
+every BLAS kernel and SIMD dispatch, and so does the stdout of every golden
+argv: branch_stack, the polar corrections, the Grams, the closed-form SVD,
+swap_stack, the sweep's column text, the Haar inputs and evaluate_inputs.
 
 numpy's bundled OpenBLAS picks its kernel from the CPU at run time
 (OPENBLAS_CORETYPE overrides the pick), and numpy's own loops dispatch on
 the CPU's SIMD features (NPY_DISABLE_CPU_FEATURES turns some off). One
 child interpreter per setting prints one hash per part: the probabilities
 and faithful flags of branch_stack over complex log-uniform tuples, the
-corrections of their matrices, cli._column of float64 columns at 6, 12
-and 17 digits (exact decimal ties, their neighbours and negative values
-among them), haar_inputs, the probabilities and fidelities that
-evaluate_inputs gives for Haar inputs at every tuple, and the stdout of
-every teleport argv of the golden digests. Every setting must print the
-same lines. The column text comes from exactly rounded elementwise
-operations only, so no dispatch may change it.
+corrections of their matrices, qcore.gram and qcore._svd2 of those
+matrices and of Gaussian and rank-one matrices at log-uniform scales,
+every field of swap_stack over log-uniform tuples and two-outcome choices,
+cli._column of float64 columns at 6, 12 and 17 digits (exact decimal
+ties, their neighbours and negative values among them), haar_inputs, the
+probabilities and fidelities that evaluate_inputs gives for Haar inputs at
+every tuple, and the stdout of every teleport, swap, classify and sweep
+argv of the golden digests. Every setting must print the same lines. The
+column text comes from exactly rounded elementwise operations only, so no
+dispatch may change it.
 The kernels and features named are x86-64 ones.
 """
 
@@ -25,7 +29,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_golden import GOLDEN
+from test_golden import GOLDEN, SWEEP_GOLDEN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -34,7 +38,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _CHILD = """
 import cmath, contextlib, hashlib, io, json, math, random, sys
 import numpy as np
-from teleportrix import cli, teleport
+from teleportrix import cli, qcore, swap, teleport
 def line(name, digest):
     print(name, digest.hexdigest())
 rnd = random.Random(61)
@@ -51,6 +55,26 @@ digest = hashlib.sha256(np.ascontiguousarray(stack.probabilities).tobytes())
 digest.update(np.ascontiguousarray(stack.faithful).tobytes())
 digest.update(teleport._corrections(stack.matrices).tobytes())
 line("branch_stack", digest)
+# Gaussian and rank-one matrices at log-uniform scales, products formed by Python
+def gauss():
+    return complex(rnd.gauss(0.0, 1.0), rnd.gauss(0.0, 1.0))
+mats = []
+for i in range(1000):
+    x, y, z, w = gauss(), gauss(), gauss(), gauss()
+    scale = 10.0 ** rnd.uniform(-150.0, 150.0)
+    mats.append([[x * z * scale, x * w * scale], [y * z * scale, y * w * scale]] if i % 4 == 0 else
+                [[x * scale, y * scale], [z * scale, w * scale]])
+mats = np.concatenate([np.array(mats), stack.matrices.reshape(-1, 2, 2)])
+diagonal, off = qcore.gram(mats)
+line("gram", hashlib.sha256(np.ascontiguousarray(diagonal).tobytes() + off.tobytes()))
+line("svd2", hashlib.sha256(b"".join(part.tobytes() for part in qcore._svd2(mats))))
+# six log-uniform parameters, or a two-outcome choice for every other tuple
+swaps = [[draw() for _ in range(6)] for _ in range(2000)]
+swaps = [list(vars(swap.two_outcome_choice(m, n)).values()) if i % 2 else [m, n, *rest]
+         for i, (m, n, *rest) in enumerate(swaps)]
+result = swap.swap_stack(*zip(*swaps))
+line("swap_stack", hashlib.sha256(b"".join(np.ascontiguousarray(getattr(result, f)).tobytes()
+                                          for f in ("probabilities", "states", "reliable", "targets", "entropies"))))
 digest = hashlib.sha256()
 for digits in (6, 12, 17):
     column = [10.0 ** rnd.uniform(-3.0, 15 - digits - 0.01) for _ in range(2000)]
@@ -100,7 +124,7 @@ def _settings() -> list:
 def test_branch_stack_bits_do_not_depend_on_the_kernel():
     unset = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "TELEPORTRIX_SEED")
     base = {k: v for k, v in os.environ.items() if k not in unset}
-    argvs = json.dumps([argv for argv, _ in GOLDEN if argv[0] == "teleport"])
+    argvs = json.dumps([argv for argv, _ in GOLDEN + SWEEP_GOLDEN])
     outputs = {}
     for setting in _settings():
         proc = subprocess.run([sys.executable, "-c", _CHILD, argvs], env=dict(base, PYTHONPATH=str(SRC), **setting),

@@ -12,6 +12,8 @@ stacked sweep must reproduce those bytes too.
 import cmath
 import hashlib
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from polar_reference import reference_correction
 from teleportrix import qcore, teleport
 from teleportrix.cli import main
-from teleportrix.ebasis import BASIS_LABELS
+from teleportrix.ebasis import BASIS_LABELS, general_basis, resource_state
 from teleportrix.errors import BadInput
 from teleportrix.qcore import PureState
 from teleportrix.tolerances import TOL_EQ, TOL_NORM, TOL_PROB
@@ -103,6 +105,14 @@ GOLDEN = [
     (["teleport", "--n", "0.5", "--l", "0.5", "--p", "0.5", "--mode", "sampled",
       "--random-input", "7", "--shots", "10000", "--seed", "0", "--precision", "6", "--output", "csv"],
      "f413b29e0df34891f6e6ff08c313a3dea1363738c9a8b61ba1c04875c8077ee6"),
+    # 17 digits, recorded from the real-float contraction; the four-qubit matmul
+    # route printed other last digits under each BLAS kernel
+    (["swap", "--m", "0.5", "--n", "2", "--l", "0.5", "--p", "2", "--l-prime", "0.5",
+      "--p-prime", "0.5", "--precision", "17"],
+     "9df83d8916ce401048fb02ce7b83724d7a0ad12b3fc53af21fe4fc3d488c81c7"),
+    (["swap", "--m", "0.5", "--n", "2", "--l", "0.5", "--p", "2", "--l-prime", "0.5",
+      "--p-prime", "0.5", "--precision", "17", "--output", "csv"],
+     "dcae4200de1b24c10ecff85d171626523d377b45b60e5dc981c30342b871c814"),
 ]
 
 
@@ -241,6 +251,29 @@ def test_stacked_matrices_equal_scalar_construction_bit_for_bit():
             nw * pw * np.array([[0, -1], [a * c, 0]], dtype=complex),
         ])
         assert np.array_equal(stack.matrices[g].view(np.int64), expected.view(np.int64))
+
+
+def test_entries_are_the_contraction_to_rounding():
+    # M_k = C^T B_k^dag entry by entry in Python complex arithmetic, C = N diag(1, n)
+    # the resource and B_k[a, 1] basis vector k: the hand-written table of
+    # _entries is this product with its zeros dropped. The two group the same
+    # products differently. Each side is within (2 + sqrt 5) u of the exact
+    # entry's modulus (two real roundings and one complex product, u = eps / 2),
+    # so they agree within (2 + sqrt 5) eps; over 20,000 such tuples the worst
+    # was 2.3 eps.
+    rnd = random.Random(36)
+    tuples = [[cmath.rect(10.0 ** rnd.uniform(-6.0, 6.0), rnd.uniform(0.0, 2.0 * math.pi)) for _ in range(3)]
+              for _ in range(2000)]
+    matrices = teleport.branch_stack(*zip(*tuples)).matrices.tolist()
+    eps = sys.float_info.epsilon
+    for (n, ell, p), mats in zip(tuples, matrices):
+        c = resource_state(n).amps.reshape(2, 2).tolist()
+        vectors = general_basis((ell, p)).vectors
+        for label, got in zip(BASIS_LABELS, mats):
+            b = vectors[label].amps.reshape(2, 2).tolist()
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                want = c[0][i] * b[j][0].conjugate() + c[1][i] * b[j][1].conjugate()
+                assert abs(got[i][j] - want) <= (2.0 + math.sqrt(5.0)) * eps * abs(want)
 
 
 def _random_params(rng, case):

@@ -1,5 +1,7 @@
-"""The stacked swap projection against the per-outcome loop it replaced:
-bit-for-bit probabilities, reliability, targets, remainders and entropies."""
+"""The stacked swap contraction against a Python-float transcription of
+its arithmetic, bit for bit, and against the per-outcome project_all loop
+it replaced, to rounding: probabilities, reliability, targets, remainders
+and entropies."""
 
 import cmath
 import math
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polar_reference import product
 from teleportrix import measure, qcore
 from teleportrix.complexfmt import weight
 from teleportrix.ebasis import BASIS_LABELS, EntangledBasis, basis_stack, general_basis
@@ -23,7 +26,7 @@ from teleportrix.swap import (
     swap_stack,
     two_outcome_choice,
 )
-from teleportrix.tolerances import TOL_EQ
+from teleportrix.tolerances import TOL_EQ, TOL_PROB
 
 FIELDS = ("m", "n", "ell", "p", "ell_prime", "p_prime")
 
@@ -60,6 +63,68 @@ def reference_swap_run(params):
         rows.append((mo.label, mo.probability, mo.residual.amps, reliable,
                      best if reliable else None, ent))
     return rows
+
+
+def reference_contraction(params):
+    """R_k = C1^T B_k^* C2 entry by entry in Python floats, in swap_stack's order.
+
+    Entry (b, 2) of outcome k is conj(B_k[b, not 2]) times the register
+    amplitude M (1, m)[b] N (n, 1)[2]; the probability sums the squared
+    entries over 2 and then over b, the Schmidt weights are those sums
+    over p, and each primed coefficient sums its four products in order.
+    """
+    pairs = _reference_basis(params.m, params.n, ("0", "1")).vectors
+    first = [(z.real, z.imag) for z in pairs["PhiPlus"].amps[[0, 3]].tolist()]  # M (1, m)
+    second = [(z.real, z.imag) for z in pairs["PsiPlus"].amps[[2, 1]].tolist()]  # N (n, 1)
+    amps = [product(first[b], second[q]) for b in (0, 1) for q in (0, 1)]
+    basis = _reference_basis(params.ell, params.p, ("0", "1"))
+    primed = _reference_basis(params.ell_prime, params.p_prime, ("b", "2"))
+    rows = []
+    for label in BASIS_LABELS:
+        vec = [complex(z) for z in basis.vectors[label].amps]
+        resid = [product((vec[j ^ 1].real, -vec[j ^ 1].imag), amps[j]) for j in range(4)]
+        squares = [re * re + im * im for re, im in resid]
+        weights = (squares[0] + squares[1], squares[2] + squares[3])
+        prob = weights[0] + weights[1]
+        if prob < TOL_PROB:
+            rows.append((label, prob, None, False, None, None))
+            continue
+        root = math.sqrt(prob)
+        state = [(re / root, im / root) for re, im in resid]
+        mags = {}
+        for target in BASIS_LABELS:
+            terms = [product((z.real, -z.imag), s) for z, s in zip(primed.vectors[target].amps.tolist(), state)]
+            re = ((terms[0][0] + terms[1][0]) + terms[2][0]) + terms[3][0]
+            im = ((terms[0][1] + terms[1][1]) + terms[2][1]) + terms[3][1]
+            mags[target] = float(np.hypot(re, im))
+        best = max(mags, key=mags.get)
+        others = max(v for target, v in mags.items() if target != best)
+        reliable = mags[best] > 0.0 and others <= TOL_EQ * mags[best]
+        ent = qcore.shannon_entropy((weights[0] / prob, weights[1] / prob), 1.0)
+        rows.append((label, prob, np.array([complex(re, im) for re, im in state]), reliable,
+                     best if reliable else None, ent))
+    return rows
+
+
+def assert_near_the_outcome_loop(outcomes, rows):
+    """outcomes within rounding of reference_swap_run's rows: 2e-15 relative on
+    probabilities, 1e-15 absolute on amplitudes and 2e-15 on entropies, and the
+    same reliability calls and targets."""
+    for o, (label, prob, amps, reliable, target, ent) in zip(outcomes, rows, strict=True):
+        assert o.label == label
+        assert abs(o.probability - prob) <= 2e-15 * prob
+        assert (o.reliable, o.target) == (reliable, target)
+        assert (o.b2_amps is None, o.b2_entropy is None) == (amps is None, ent is None)
+        if amps is not None:
+            assert np.abs(o.b2_amps - amps).max() <= 1e-15
+            assert abs(o.b2_entropy - ent) <= 2e-15
+
+
+def assert_is_the_contraction(params):
+    """swap_run(params) bit for bit as reference_contraction, and near the outcome loop."""
+    outcomes = swap_run(params)
+    assert _run_key(outcomes) == _key(reference_contraction(params))
+    assert_near_the_outcome_loop(outcomes, reference_swap_run(params))
 
 
 def _bits(x):
@@ -105,14 +170,13 @@ class TestAgainstTheOutcomeLoop:
     def test_random_tuples_bit_for_bit(self):
         rng = np.random.default_rng(51)
         for _ in range(200):
-            params = SwapParams(*(_random_complex(rng) for _ in range(6)))
-            assert _run_key(swap_run(params)) == _key(reference_swap_run(params))
+            assert_is_the_contraction(SwapParams(*(_random_complex(rng) for _ in range(6))))
 
     def test_bench_swap_cases_bit_for_bit(self):
         rng = np.random.default_rng(53)
         for _ in range(40):
             for params in _bench_cases(rng):
-                assert _run_key(swap_run(params)) == _key(reference_swap_run(params))
+                assert_is_the_contraction(params)
 
     def test_stack_rows_equal_the_batch_of_one(self):
         rng = np.random.default_rng(55)
@@ -127,8 +191,8 @@ class TestAgainstTheOutcomeLoop:
         # With m = 0 qubit a is |0>, so in the computational basis
         # (l = p = 0) the two outcomes with a = 1 have probability 0.
         params = SwapParams(0, 2, 0, 0, 1, 1)
+        assert_is_the_contraction(params)
         outcomes = swap_run(params)
-        assert _run_key(outcomes) == _key(reference_swap_run(params))
         dropped = [o for o in outcomes if o.probability < 1e-12]
         assert len(dropped) == 2
         for o in dropped:
@@ -139,8 +203,7 @@ class TestAgainstTheOutcomeLoop:
 
     @pytest.mark.parametrize("mods", [(1e6, 1e6), (1e20, 2e20), (1e-7, 1e7)])
     def test_extreme_moduli_keep_the_reliability_rule(self, mods):
-        params = two_outcome_choice(*mods)
-        assert _run_key(swap_run(params)) == _key(reference_swap_run(params))
+        assert_is_the_contraction(two_outcome_choice(*mods))
 
     def test_b2_state_is_the_validated_remainder(self):
         for o in swap_run(two_outcome_choice(0.5, 1.6)):
@@ -201,8 +264,7 @@ _PARAMETER = st.builds(
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.tuples(*[_PARAMETER] * 6))
 def test_stack_equals_the_outcome_loop(values):
-    params = SwapParams(*values)
-    assert _run_key(swap_run(params)) == _key(reference_swap_run(params))
+    assert_is_the_contraction(SwapParams(*values))
 
 
 def test_basis_stack_rejects_non_finite_and_ragged_rows():
