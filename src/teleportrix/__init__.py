@@ -20,7 +20,6 @@ from .errors import (
     LabelMismatch,
     NonFinite,
     NormalizationError,
-    NotUnitary,
     ParseError,
     ShapeError,
     SingularMatrix,
@@ -31,14 +30,11 @@ from .qcore import (
     DensityMatrix,
     PureState,
     SchmidtForm,
-    apply_unitary,
-    basis_state,
     entropy,
     fidelity,
     make_state,
     reduced_density,
     schmidt,
-    states_close,
     tensor,
 )
 from .swap import (
@@ -74,7 +70,6 @@ from .teleport import (
     expected_repetitions,
     haar_inputs,
     is_faithful,
-    joint_state,
     measured_probabilities,
     one_faithful_choice,
     one_faithful_labels,

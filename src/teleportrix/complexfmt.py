@@ -63,16 +63,9 @@ def format_complex(z: complex, digits: int = 12) -> str:
     return f"{re_s}{sign}{im_s}i"
 
 
-def as_complex(value) -> complex:
-    """Coerce a number or complex literal string into a complex value."""
-    if isinstance(value, str):
-        return parse_complex(value)
-    return complex(value)
-
-
 def finite_complex(value, name: str) -> complex:
-    """as_complex plus a finiteness check; raises NonFinite otherwise."""
-    z = as_complex(value)
+    """A number or complex literal string as a complex value; NonFinite unless finite."""
+    z = parse_complex(value) if isinstance(value, str) else complex(value)
     if not cmath.isfinite(z):
         raise NonFinite(f"{name} must be finite, got {z!r}")
     return z

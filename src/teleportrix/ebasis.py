@@ -75,7 +75,12 @@ def basis_stack(ell, p) -> np.ndarray:
     so general_basis, the batch of one, keeps its bits.
     """
     params = finite_rows([ell, p], "ell and p")
-    lw, pw = 1.0 / np.sqrt(1.0 + squared_moduli(params, ("ell", "p")))
+    return family_vectors(params, squared_moduli(params, ("ell", "p")))
+
+
+def family_vectors(params: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """basis_stack of a (2, G) array of l and p that finite_rows passed, given their squared_moduli."""
+    lw, pw = 1.0 / np.sqrt(1.0 + squares)
     vecs = np.zeros((params.shape[1], 4, 4), dtype=complex)
     vecs[:, 0, 0], vecs[:, 0, 3] = lw, lw * params[0]
     vecs[:, 1, 0], vecs[:, 1, 3] = lw * params[0].conj(), -lw

@@ -21,10 +21,6 @@ class LabelMismatch(TeleportrixError):
     """Two states (or a state and a target) do not share the required labels."""
 
 
-class NotUnitary(TeleportrixError):
-    """A matrix supposed to be unitary fails U^dag U = I."""
-
-
 class BadSubset(TeleportrixError):
     """Partial-trace subset is empty, unknown, or not a proper subset."""
 

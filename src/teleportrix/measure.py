@@ -76,20 +76,21 @@ def sample(s: PureState, pair: Sequence, basis: EntangledBasis, seed: int) -> Me
     The same seed always yields the same outcome. Only the drawn
     outcome's residual state is built.
     """
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     rest, resids, probs = _projection(s, pair, basis)
-    k = int(sample_outcomes([probs], 1, np.random.default_rng(seed))[0])
+    k = int(sample_outcomes([probs], 1, rng)[0])
     return _outcome(k, rest, resids[k], probs[k])
 
 
-def _shot_count(shots, least: int) -> int:
-    """shots as an int, BadInput unless it is an integer >= least."""
+def _integer(value, name: str, least: int) -> int:
+    """value as an int, BadInput naming it unless it is an integer >= least (a shot count or seed)."""
     try:
-        shots = operator.index(shots)
+        value = operator.index(value)
     except TypeError:
-        raise BadInput(f"shots must be an integer, got {shots!r}") from None
-    if shots < least:
-        raise BadInput(f"shots must be >= {least}, got {shots}")
-    return shots
+        raise BadInput(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise BadInput(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _shot_counts(probabilities, shots: int, rng) -> np.ndarray:
@@ -102,7 +103,7 @@ def _shot_counts(probabilities, shots: int, rng) -> np.ndarray:
     of rng.multinomial(n_i, p_i / sum(p_i)) over the rows would. Time and
     memory are O(K) whatever the shot count. shots must be an integer >= 0.
     """
-    shots = _shot_count(shots, 0)
+    shots = _integer(shots, "shots", 0)
     probabilities = np.asarray(probabilities, dtype=float)
     if probabilities.ndim != 2 or probabilities.shape[0] == 0 or probabilities.shape[1] != 4:
         raise BadInput(f"probabilities must be a nonempty (K, 4) array, got shape {probabilities.shape}")

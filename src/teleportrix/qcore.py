@@ -24,15 +24,11 @@ from .errors import (
     LabelCollision,
     LabelMismatch,
     NormalizationError,
-    NotUnitary,
     ShapeError,
 )
-from .tolerances import TOL_EQ, TOL_NORM
+from .tolerances import TOL_NORM
 
 PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _E0 = PAULI_I[0]
 
 
@@ -75,17 +71,14 @@ class PureState:
         """Amplitudes reshaped to one axis per qubit, register order."""
         return self.amps.reshape((2,) * self.num_qubits)
 
-    def relabel(self, new_labels: Sequence) -> "PureState":
-        """Same amplitudes on a renamed register."""
-        return PureState(tuple(new_labels), self.amps)
-
     def __repr__(self) -> str:
         return f"PureState(qubits={self.qubits!r}, amps={np.array2string(self.amps, precision=6)})"
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on 1..3 qubits."""
+    """Hermitian, unit-trace, positive-semidefinite matrix on 1..3 qubits: reduced_density's
+    result and entropy's input, validated once here."""
 
     entries: np.ndarray
 
@@ -149,16 +142,6 @@ def make_state(labels: Sequence, amps: Iterable) -> PureState:
     return PureState(tuple(labels), arr / math.sqrt(norm_sq))
 
 
-def basis_state(labels: Sequence, bits: str) -> PureState:
-    """Computational basis state, e.g. basis_state(("a", "b"), "01")."""
-    labels_t = tuple(labels)
-    if len(bits) != len(labels_t) or set(bits) - {"0", "1"}:
-        raise ShapeError(f"bit string {bits!r} does not match {labels_t!r}")
-    amps = np.zeros(2 ** len(labels_t), dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return PureState(labels_t, amps)
-
-
 def tensor(s1: PureState, s2: PureState) -> PureState:
     """Kronecker product; s1's labels come first (and stay most significant)."""
     if set(s1.qubits) & set(s2.qubits):
@@ -166,21 +149,6 @@ def tensor(s1: PureState, s2: PureState) -> PureState:
             f"label sets overlap: {set(s1.qubits) & set(s2.qubits)!r}"
         )
     return PureState(s1.qubits + s2.qubits, np.kron(s1.amps, s2.amps))
-
-
-def apply_unitary(s: PureState, target, u: np.ndarray) -> PureState:
-    """Apply a single-qubit unitary to the named qubit."""
-    mat = np.asarray(u, dtype=complex)
-    if mat.shape != (2, 2):
-        raise ShapeError("single-qubit unitary must be 2x2")
-    if np.max(np.abs(mat.conj().T @ mat - np.eye(2))) > TOL_EQ:
-        raise NotUnitary("matrix fails U^dag U = I")
-    if target not in s.qubits:
-        raise LabelMismatch(f"qubit {target!r} not in register {s.qubits!r}")
-    axis = s.qubits.index(target)
-    t = np.tensordot(mat, s.as_tensor(), axes=([1], [axis]))
-    t = np.moveaxis(t, 0, axis)
-    return PureState(s.qubits, t.reshape(-1))
 
 
 def reduced_density(s: PureState, keep: Sequence) -> DensityMatrix:
@@ -306,7 +274,3 @@ def fidelity(a: PureState, b: PureState) -> float:
     val = abs(np.vdot(a.amps, b_amps)) ** 2
     return min(float(val), 1.0)
 
-
-def states_close(a: PureState, b: PureState) -> bool:
-    """Phase-insensitive state equality: fidelity >= 1 - TOL_EQ."""
-    return fidelity(a, b) >= 1.0 - TOL_EQ

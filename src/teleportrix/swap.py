@@ -30,6 +30,7 @@ no matmul, eigvalsh or per-outcome state. swap_run is its batch of one.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexfmt import finite_complex, finite_rows, squared_moduli, squared_modulus, weight
-from .ebasis import BASIS_LABELS, basis_stack, regime_name
+from .ebasis import BASIS_LABELS, family_vectors, regime_name
 from .errors import NonFinite
 from .qcore import PureState, cmul, from_parts, shannon_entropy, tensor
 from .tolerances import TOL_EQ, TOL_PROB
@@ -136,12 +137,12 @@ def swap_stack(m, n, ell, p, ell_prime, p_prime) -> SwapStack:
     gives the same bits whatever G and whatever the BLAS kernel or SIMD
     dispatch.
     """
-    params = finite_rows([m, n, ell, p, ell_prime, p_prime], "swap parameters")
-    squared_moduli(params, ("m", "n", "ell", "p", "ell_prime", "p_prime"))  # names one that overflows
+    # l rows, then p rows, as family_vectors takes them. The family at (m, n) has the pairs
+    # M (|00> + m |11>) and N (|01> + n |10>) as PhiPlus and PsiPlus; then come the measured and primed basis.
+    params = finite_rows([m, ell, ell_prime, n, p, p_prime], "swap parameters")
+    mod2 = squared_moduli(params, ("m", "ell", "ell_prime", "n", "p", "p_prime"))  # names one that overflows
     count = params.shape[1]
-    # The family at (m, n) has the pairs M (|00> + m |11>) and N (|01> + n |10>)
-    # as PhiPlus and PsiPlus; then come the measured and the primed basis.
-    pairs, basis, primed = basis_stack(params[0::2].reshape(-1), params[1::2].reshape(-1)).reshape(3, count, 4, 4)
+    pairs, basis, primed = family_vectors(params.reshape(2, -1), mod2.reshape(2, -1)).reshape(3, count, 4, 4)
     # register amplitude M (1, m)[b] N (n, 1)[2] where a = b and 1 = not 2, in (b, 2) order
     amps = cmul(pairs[:, 0, [0, 3]][:, :, None], pairs[:, 2, [2, 1]][:, None]).reshape(count, 4)
     # vector k's entry on (a, 1) = (b, not 2) sits at (b, 2) index ^ 1
@@ -240,8 +241,8 @@ def phase_matched_choice(m, n, ell, p) -> SwapParams:
 
 
 def _close(x: complex, y: complex) -> bool:
-    scale = max(abs(x), abs(y), 1.0)
-    return abs(x - y) <= TOL_EQ * scale
+    """x = y within TOL_EQ relative to max(|x|, |y|, 1); an overflowed product matches nothing."""
+    return cmath.isfinite(x) and cmath.isfinite(y) and abs(x - y) <= TOL_EQ * max(abs(x), abs(y), 1.0)
 
 
 def classify_swap(params: SwapParams) -> SwapRegimeReport:

@@ -32,7 +32,8 @@ The input-independent work (matrices, completeness, Grams,
 faithfulness, branch probabilities) is done by branch_stack for a whole
 array of G parameter tuples, matrices and faithfulness on first read;
 transfer_matrices and protocol_branches are its batch of one, and sweeps
-over the resource parameter go through two_faithful_stack / one_faithful_stack.
+over the resource parameter go through two_faithful_stack / one_faithful_stack,
+whose batch of one is two_faithful_choice / one_faithful_choice.
 evaluate_inputs takes the one-tuple stack, computes its four polar
 corrections in closed form (_corrections), and evaluates a whole (K, 2)
 batch of inputs as quadratic forms (see InputBatch). Shots against the
@@ -64,6 +65,7 @@ INFINITE = math.inf
 # Parameter choices with two faithful outcomes, indexed 0..3: join the
 # basis parameters to the resource as (l, p) = (n, n*), (n, 1/n),
 # (1/n*, 1/n), (1/n*, n*). Each leaves exactly the named pair faithful.
+# The rules of both tables take (G,) complex arrays; the flag marks those dividing by n.
 _TWO_FAITHFUL = (
     (lambda n: (n, n.conjugate()), ("PhiMinus", "PsiPlus"), False),
     (lambda n: (n, 1 / n), ("PhiMinus", "PsiMinus"), True),
@@ -72,8 +74,7 @@ _TWO_FAITHFUL = (
 )
 
 # Choices with one faithful outcome, indexed 0..3: (l, p) from n and a
-# generic value g that leaves the other pair unfaithful. The rules take
-# Python complex numbers or numpy arrays; the flag marks those dividing by n.
+# generic value g that leaves the other pair unfaithful.
 _ONE_FAITHFUL = (
     (lambda n, g: (1 / n.conjugate(), g), "PhiPlus", True),
     (lambda n, g: (n, g), "PhiMinus", False),
@@ -270,11 +271,10 @@ def _entries(params: np.ndarray) -> np.ndarray:
 
 def _check_gram_total(diagonals: np.ndarray, off=None) -> None:
     """CompletenessError unless each group's K Grams (as qcore.gram gives them, off None
-    where all are diagonal) sum to I within TOL_NORM; adds of whole slices keep k order."""
-    total = sum((diagonals[..., k] for k in range(1, diagonals.shape[-1])), diagonals[..., 0])
-    deviation = np.abs(total - 1.0).max()
+    where all are diagonal) sum to I within TOL_NORM."""
+    deviation = np.abs(diagonals.sum(axis=-1) - 1.0).max()
     if off is not None:
-        deviation = np.maximum(deviation, np.abs(sum(off[..., k] for k in range(off.shape[-1]))).max())
+        deviation = np.maximum(deviation, np.abs(off.sum(axis=-1)).max())
     if not deviation < TOL_NORM:
         raise CompletenessError(
             f"completeness violated: sum M^dag M deviates from I by {float(deviation)!r}")
@@ -416,22 +416,24 @@ def repetition_counts(n) -> dict:
 
 
 def two_faithful_choice(n, index: int) -> ProtocolParams:
-    """One of the four basis choices leaving exactly two faithful outcomes."""
+    """One of the four basis choices leaving exactly two faithful outcomes: the batch of one of
+    two_faithful_stack, so its (l, p) have the stack's bits."""
     n = finite_complex(n, "n")
-    make, _ = _choice(_TWO_FAITHFUL, index, n == 0)
-    return ProtocolParams(n, *make(n))
+    ell, p = _two_faithful(np.array([n]), index)
+    return ProtocolParams(n, complex(ell[0]), complex(p[0]))
 
 
 def two_faithful_stack(n, index: int) -> BranchStack:
-    """branch_stack of two_faithful_choice(n[g], index) for a (G,) array n.
-
-    For real n this gives the bits of the per-point route. Choices 1-3
-    divide by n, and numpy's complex division can differ from Python's
-    in the last bit when n is not real.
-    """
+    """branch_stack of two_faithful_choice(n[g], index) for a (G,) array n."""
     n = np.asarray(n, dtype=complex)
+    return branch_stack(n, *_two_faithful(n, index))
+
+
+def _two_faithful(n: np.ndarray, index: int) -> tuple:
+    """(l, p) arrays of rule `index` of _TWO_FAITHFUL, not finite where 1/n overflows (finite checks reject it)."""
     make, _ = _choice(_TWO_FAITHFUL, index, not np.all(n))
-    return branch_stack(n, *make(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return make(n)
 
 
 def two_faithful_labels(index: int) -> tuple:
@@ -451,21 +453,21 @@ def _choice(table: tuple, index: int, has_zero: bool = False) -> tuple:
 
 
 def one_faithful_choice(n, index: int) -> ProtocolParams:
-    """One of the four single conditions, the other parameter kept generic (see _one_faithful)."""
+    """One of the four single conditions, the other parameter kept generic (see _one_faithful):
+    the batch of one of one_faithful_stack."""
     n = finite_complex(n, "n")
-    rule, generic = _one_faithful(np.array([n]), index)
-    return ProtocolParams(n, *rule(n, complex(generic[0])))
+    ell, p = _one_faithful(np.array([n]), index)
+    return ProtocolParams(n, complex(ell[0]), complex(p[0]))
 
 
 def one_faithful_stack(n, index: int) -> BranchStack:
-    """branch_stack of one_faithful_choice(n[g], index) for a (G,) array n; bits as for two_faithful_stack."""
+    """branch_stack of one_faithful_choice(n[g], index) for a (G,) array n."""
     n = np.asarray(n, dtype=complex)
-    rule, generic = _one_faithful(n, index)
-    return branch_stack(n, *rule(n, generic))
+    return branch_stack(n, *_one_faithful(n, index))
 
 
 def _one_faithful(n: np.ndarray, index: int) -> tuple:
-    """Rule `index` of _ONE_FAITHFUL and the generic value 2 max(|n|, 1/|n|) + 1 of each n.
+    """(l, p) arrays of rule `index` of _ONE_FAITHFUL at the generic value 2 max(|n|, 1/|n|) + 1.
 
     It is 1 at n = 0 and otherwise over twice both moduli that would make its
     branch pair faithful, so that pair stays unfaithful at any |n|; NonFinite names
@@ -481,17 +483,12 @@ def _one_faithful(n: np.ndarray, index: int) -> tuple:
         squared_modulus(complex(n[too_large[0]]), "n")  # names n where n itself overflows
         raise NonFinite("the generic value 2 max(|n|, 1/|n|) + 1 is too large at "
                         f"|n| = {float(modulus[too_large[0]])!r}: it or a power of it overflows a float")
-    return rule, generic
+    return rule(n, generic)
 
 
 def one_faithful_labels(index: int) -> str:
     """The single outcome that one_faithful_choice(index) makes faithful."""
     return _choice(_ONE_FAITHFUL, index)[1]
-
-
-def joint_state(input_amps, n) -> PureState:
-    """Assembled three-qubit state: input on a, resource on (1, 2)."""
-    return qcore.tensor(PureState(("a",), np.array(_parsed_input(input_amps))), resource_state(n))
 
 
 def _parsed_input(input_amps) -> tuple:
@@ -565,8 +562,8 @@ def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int 
                                      fid if kept else None))
     if shots is None:
         return RunResult(tuple(records), report)
-    shots = measure._shot_count(shots, 1)
-    seed = 0 if seed is None else seed
+    shots = measure._integer(shots, "shots", 1)
+    seed = 0 if seed is None else measure._integer(seed, "seed", 0)
     # rows sum to 1 within 2 TOL_NORM (input norm and completeness), the sampler's bound is TOL_NORM
     rows = batch.probabilities / batch.probabilities.sum(axis=1, keepdims=True)
     indices = sample_outcomes(rows, shots, np.random.default_rng(seed))
@@ -583,6 +580,6 @@ def measured_probabilities(input_amps, params: ProtocolParams) -> dict:
     ||M_k psi||^2 from the transfer matrices. Kept as the independent
     route for verification.
     """
-    state = joint_state(input_amps, params.n)
+    state = qcore.tensor(PureState(("a",), np.array(_parsed_input(input_amps))), resource_state(params.n))
     outcomes = measure.project_all(state, ("a", "1"), general_basis(params.basis_params))
     return {o.label: o.probability for o in outcomes}

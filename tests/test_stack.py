@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from teleportrix import complexfmt, ebasis, swap, teleport
 from teleportrix.errors import BadInput, CompletenessError, NonFinite
-from teleportrix.qcore import PAULI_X
 from teleportrix.teleport import ProtocolParams, TransferMatrix
 from teleportrix.tolerances import TOL_EQ
+
+from register_reference import PAULI_X
 
 
 def _closed_form_close(got, n, k):
@@ -86,6 +87,14 @@ class TestBranchStack:
         with pytest.raises(BadInput):
             teleport.one_faithful_stack([0.5], 4)
         assert teleport.one_faithful_stack([0.0], 1).success(("PhiMinus",)).tolist() == [0.0]
+
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    def test_resource_whose_reciprocal_overflows_is_non_finite(self, index):
+        # 1 / 1e-320 overflows: NonFinite, where the stack used to leak numpy's RuntimeWarning
+        with pytest.raises(NonFinite):
+            teleport.two_faithful_choice(1e-320, index)
+        with pytest.raises(NonFinite):
+            teleport.two_faithful_stack([0.5, 1e-320], index)
 
     @pytest.mark.parametrize("index", [-1, 4, 1.0])
     def test_choice_index_outside_0_to_3_is_bad_input(self, index):
@@ -216,6 +225,19 @@ def test_float_power_is_the_power_of_a_python_float(exponents, seed, scale):
     values += [math.nextafter(v, toward) for v in values for toward in (0.0, math.inf)]
     got = np.float_power(np.array(values), 2.0)
     assert np.array_equal(got.view(np.int64), np.array([v ** 2 for v in values]).view(np.int64))
+
+
+@pytest.mark.parametrize("stack_of,choice", [(teleport.two_faithful_stack, teleport.two_faithful_choice),
+                                             (teleport.one_faithful_stack, teleport.one_faithful_choice)])
+def test_each_choice_has_the_bits_of_its_stack(stack_of, choice):
+    # a choice is its stack's batch of one: Python's complex 1 / n differs
+    # from numpy's in the last bit for about a quarter of these n
+    rng = np.random.default_rng(59)
+    ns = 10.0 ** rng.uniform(-3.5, 3.5, 2000) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2000))
+    for index in range(4):
+        want = stack_of(ns, index).entries
+        got = np.stack([teleport.protocol_branches(choice(n, index)).entries[:, 0] for n in ns.tolist()], axis=1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), index
 
 
 _MAGNITUDES = st.tuples(st.floats(min_value=-7.0, max_value=7.0), st.sampled_from([-1.0, 1.0]))

@@ -247,6 +247,13 @@ class TestClassifySwap:
         assert report.regime == "Probabilistic(k=1)"
         assert report.reliable_outcomes == ("PhiPlus",)
 
+    def test_overflowed_product_matches_nothing(self):
+        # p' = 1e10 against m n l* = 1e310, which overflows to inf: the check
+        # |p' - inf| <= TOL_EQ * inf used to hold
+        report = classify_swap(SwapParams(1e150, 1e150, 1e10, 1, 1, 1e10))
+        assert not report.phi_branch_conditions
+        assert report.regime == "Probabilistic(k=1)"
+
     def test_unrelated_parameters_give_nothing(self):
         params = SwapParams(0.5, 2, 0.3, 0.9, 1.4, 0.8 + 0.2j)
         report = classify_swap(params)

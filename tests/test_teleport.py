@@ -9,7 +9,7 @@ import pytest
 from teleportrix import teleport
 from teleportrix.ebasis import BASIS_LABELS, basis_entropy
 from teleportrix.errors import BadInput, NonFinite, SingularMatrix
-from teleportrix.qcore import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from teleportrix.qcore import PAULI_I
 from teleportrix.teleport import (
     ProtocolParams,
     TransferMatrix,
@@ -27,6 +27,8 @@ from teleportrix.teleport import (
     two_faithful_choice,
     two_faithful_labels,
 )
+
+from register_reference import PAULI_X, PAULI_Y, PAULI_Z
 
 
 def haar_input(rng):
@@ -314,3 +316,9 @@ class TestRun:
         # checked before run compares it with 1: a str used to raise TypeError
         with pytest.raises(BadInput):
             run((1, 0), ProtocolParams(1, 1, 1), shots="3", seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_that_is_not_a_nonnegative_integer_is_bad_input(self, seed):
+        # numpy's generator used to raise a bare ValueError or TypeError
+        with pytest.raises(BadInput, match="^seed"):
+            run((1, 0), ProtocolParams(1, 1, 1), shots=10, seed=seed)
