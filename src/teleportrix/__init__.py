@@ -45,7 +45,6 @@ from .swap import (
     classify_swap,
     classify_swap_outcomes,
     phase_matched_choice,
-    swap_inputs,
     swap_run,
     swap_stack,
     three_outcome_swap_probability,

@@ -15,17 +15,20 @@ primed coefficients per outcome are
 times the overall M N. An outcome is "reliable" when one coefficient of
 its pair vanishes, so (b, 2) collapses onto a single primed vector up to
 phase. The primed family is an analysis basis only; nothing is applied
-to (b, 2). Everything is computed by brute-force projection of the
-four-qubit state, never from the coefficient table above, so the
-closed-form probabilities can be checked against it.
+to (b, 2), and nothing is computed from the table above, so the closed
+forms can be checked against the contraction below.
 
-swap_stack does that projection for a whole array of G parameter tuples
-at once. Each (b, 2) of the start state has one (a, 1) partner, a = b and
-1 = not 2, so outcome k leaves R_k[b, 2] = conj(B_k[b, not 2]) M (1, m)[b]
-N (n, 1)[2], the partial inner product C1^T B_k^* C2. R_k has one nonzero
-entry per row and column: its squares over the probability are its
-Schmidt weights. All of it is real float * and + in a fixed order, with
-no matmul, eigvalsh or per-outcome state. swap_run is its batch of one.
+Swapping is teleportation of half a pair (Zukowski, Zeilinger, Horne and
+Ekert, PRL 71, 4287 (1993)): N (|01> + n |10>) is teleport's resource
+with qubit 2 flipped, so with M_k teleport's transfer matrix at (n, l, p)
+outcome k leaves R_k^T = X M_k diag(M, M m) on (b, 2). Row b of R_k is
+the entry in column b of M_k (teleport._entries) times M (1, m)[b]. R_k
+has one nonzero entry per row and column, on |01>, |10> for the Phi
+outcomes and on |00>, |11> for the Psi outcomes, so its squares over the
+probability are its Schmidt weights, and each outcome has two primed
+coefficients of two products each. All of it is real float * and + in a
+fixed order, with no matmul, eigvalsh or per-outcome state. swap_stack
+does it for G parameter tuples at once; swap_run is its batch of one.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexfmt import finite_complex, finite_rows, squared_moduli, squared_modulus, weight
-from .ebasis import BASIS_LABELS, family_vectors, regime_name
+from .complexfmt import finite_complex, finite_rows, squared_moduli, squared_modulus
+from .ebasis import BASIS_LABELS, regime_name
 from .errors import NonFinite
-from .qcore import PureState, cmul, from_parts, shannon_entropy, tensor
+from .qcore import PureState, cmul, from_parts, shannon_entropy
+from .teleport import _entries
 from .tolerances import TOL_EQ, TOL_PROB
 
 
@@ -119,50 +123,42 @@ class SwapStack:
             for label, prob, state, reliable, target, ent in rows)
 
 
-def swap_inputs(m, n) -> PureState:
-    """Four-qubit start state M (|00> + m |11>) N (|01> + n |10>) on (a, b, 1, 2)."""
-    m, n = finite_complex(m, "m"), finite_complex(n, "n")
-    mw, nw = weight(m, "m"), weight(n, "n")
-    return tensor(PureState(("a", "b"), np.array([mw, 0, 0, mw * m])),
-                  PureState(("1", "2"), np.array([0, nw, nw * n, 0])))
-
-
 def swap_stack(m, n, ell, p, ell_prime, p_prime) -> SwapStack:
     """Measure (a, 1) and analyze every (b, 2) remainder of G parameter tuples.
 
-    The arguments are (G,) arrays of finite complex numbers. An outcome
-    of probability >= TOL_PROB is reliable when the magnitude of every
-    primed coefficient but the largest is at most TOL_EQ times it. Every
-    product is cmul's and every sum runs in a fixed order, so a tuple
-    gives the same bits whatever G and whatever the BLAS kernel or SIMD
-    dispatch.
+    The arguments are (G,) arrays of finite complex numbers. An outcome of
+    probability >= TOL_PROB is reliable when the smaller modulus of its two
+    primed coefficients is at most TOL_EQ times the larger. Every product is
+    cmul's and every sum runs in a fixed order, so a tuple gives the same
+    bits whatever G and whatever the BLAS kernel or SIMD dispatch.
     """
-    # l rows, then p rows, as family_vectors takes them. The family at (m, n) has the pairs
-    # M (|00> + m |11>) and N (|01> + n |10>) as PhiPlus and PsiPlus; then come the measured and primed basis.
-    params = finite_rows([m, ell, ell_prime, n, p, p_prime], "swap parameters")
-    mod2 = squared_moduli(params, ("m", "ell", "ell_prime", "n", "p", "p_prime"))  # names one that overflows
-    count = params.shape[1]
-    pairs, basis, primed = family_vectors(params.reshape(2, -1), mod2.reshape(2, -1)).reshape(3, count, 4, 4)
-    # register amplitude M (1, m)[b] N (n, 1)[2] where a = b and 1 = not 2, in (b, 2) order
-    amps = cmul(pairs[:, 0, [0, 3]][:, :, None], pairs[:, 2, [2, 1]][:, None]).reshape(count, 4)
-    # vector k's entry on (a, 1) = (b, not 2) sits at (b, 2) index ^ 1
-    resid = cmul(basis[:, :, [1, 0, 3, 2]].conj(), amps[:, None, :])
+    params = finite_rows([n, ell, p, m, ell_prime, p_prime], "swap parameters")
+    mod2 = squared_moduli(params, ("n", "ell", "p", "m", "ell_prime", "p_prime"))  # names one that overflows
+    mw, lw, pw = 1.0 / np.sqrt(1.0 + mod2[3:])
+    # row b of R_k: teleport's entry in column b of M_k times M (1, m)[b]; rows [g, k, b]
+    resid = cmul(_entries(params[:3], mod2[:3]).reshape(4, 2, -1).transpose(2, 0, 1),
+                 np.array([mw, mw * params[3]]).T[:, None])
     squares = resid.real * resid.real + resid.imag * resid.imag
-    rows = squares[..., 0::2] + squares[..., 1::2]  # one of the two terms is 0
-    probs = rows[..., 0] + rows[..., 1]
+    probs = squares[..., 0] + squares[..., 1]
     kept = probs >= TOL_PROB
     norms = np.where(kept, probs, np.inf)[..., None]  # states and weights are 0 where not kept
     root = np.sqrt(norms)
-    states = from_parts(resid.real / root, resid.imag / root)
+    unit = from_parts(resid.real / root, resid.imag / root)
+    states = np.zeros((len(probs), 4, 4), dtype=complex)
+    states[:, :2, 1:3], states[:, 2:, 0::3] = unit[:, :2], unit[:, 2:]  # on |01>, |10> or |00>, |11>
     states.setflags(write=False)
-    terms = cmul(primed[:, None].conj(), states[:, :, None])
-    coeffs = ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
-    mags = np.hypot(coeffs.real, coeffs.imag)
-    others, best = np.sort(mags, axis=-1)[..., -2:].transpose(2, 0, 1)
-    reliable = kept & (best > 0.0) & (others <= TOL_EQ * best)
-    targets = np.where(reliable, mags.argmax(axis=-1), -1)
-    # the remainder's reduced density on b is diagonal: its eigenvalues are rows / p
-    weights = (rows / norms).reshape(-1, 2).tolist()
+    # the conjugated primed pair it lies on, plus (w, (w c)*) and minus (w c, -w): c = p' for Phi, l' for Psi
+    w = np.array([pw, lw])
+    wc = w * params[5:3:-1]
+    terms = cmul(np.array([[w, wc.conj()], [wc, -w]]).transpose(3, 2, 0, 1)[:, :, None],
+                 unit.reshape(-1, 2, 2, 1, 2))  # [g, pair, outcome, row, column]
+    coeffs = terms[..., 0] + terms[..., 1]
+    plus, minus = np.hypot(coeffs.real, coeffs.imag).reshape(-1, 4, 2).transpose(2, 0, 1)
+    best = np.maximum(plus, minus)
+    reliable = kept & (best > 0.0) & (np.minimum(plus, minus) <= TOL_EQ * best)
+    targets = np.where(reliable, (minus > plus) + [2, 2, 0, 0], -1)
+    # the remainder's reduced density on b is diagonal: its eigenvalues are squares / p
+    weights = (squares / norms).reshape(-1, 2).tolist()
     entropies = np.array([shannon_entropy(pair, 1.0) for pair in weights]).reshape(kept.shape)
     return SwapStack(probs, states, reliable, targets, np.where(kept, entropies, np.nan))
 

@@ -34,12 +34,12 @@ array of G parameter tuples, matrices and faithfulness on first read;
 transfer_matrices and protocol_branches are its batch of one, and sweeps
 over the resource parameter go through two_faithful_stack / one_faithful_stack,
 whose batch of one is two_faithful_choice / one_faithful_choice.
-evaluate_inputs takes the one-tuple stack, computes its four polar
-corrections in closed form (_corrections), and evaluates a whole (K, 2)
-batch of inputs as quadratic forms (see InputBatch). Shots against the
-batch follow measure's sampling rule (shot s of input s mod K, one
-multinomial draw of each input's counts): sample_outcomes gives the
-outcome index of every shot, count_outcomes only the four counts, in
+evaluate_inputs evaluates a whole (K, 2) batch of inputs as quadratic
+forms of the one-tuple stack's Gram diagonals (see InputBatch); only
+run reads the closed-form polar corrections (_corrections). Shots
+against the batch follow measure's sampling rule (shot s of input s mod
+K, one multinomial draw of each input's counts): sample_outcomes gives
+the outcome index of every shot, count_outcomes only the four counts, in
 time and memory O(K) whatever the shot count. run is the batch of one.
 """
 
@@ -178,27 +178,31 @@ class BranchStack:
 class InputBatch:
     """Every branch of every input psi = (alpha, beta) in a batch of K inputs.
 
-    M_k has one nonzero entry per column, so H_k = U_k M_k = sqrt(M_k^dag M_k) is diagonal.
-    With g and h (polar) the diagonals of M_k^dag M_k and H_k, probabilities[i, k] = p =
-    |alpha|^2 g0 + |beta|^2 g1, fidelities[i, k] = min((|alpha|^2 h0 + |beta|^2 h1)^2 / p, 1),
-    and bob[i, k], built on first read, is Bob's corrected state (alpha h0, beta h1) / sqrt(p).
-    Below TOL_PROB, bob is zero and the fidelity NaN. A faithful branch is kept down to the
-    smallest normal float, since its state is exact at any scale; below that the probability
-    has lost bits, and the state renormalised by its square root is off unit norm by up to
-    1e-2. corrections holds the U_k, inputs the psi.
+    M_k has one nonzero entry per column, so H_k = U_k M_k = sqrt(M_k^dag M_k) is diagonal: h
+    (polar) is the root of the Gram diagonal g of branch_stack. probabilities[i, k] = p =
+    |alpha|^2 g0 + |beta|^2 g1, fidelities[i, k] = min((|alpha|^2 h0 + |beta|^2 h1)^2 / p, 1).
+    Built on first read: bob[i, k], Bob's corrected state (alpha h0, beta h1) / sqrt(p), and
+    corrections, the U_k of the M_k (matrices), which only run reads. Below TOL_PROB, bob is
+    zero and the fidelity NaN. A faithful branch is kept down to the smallest normal float,
+    since its state is exact at any scale; below that the probability has lost bits, and the
+    state renormalised by its square root is off unit norm by up to 1e-2. inputs holds the psi.
     """
 
     probabilities: np.ndarray
-    corrections: np.ndarray
     fidelities: np.ndarray
     inputs: np.ndarray
     polar: np.ndarray
+    matrices: np.ndarray
 
     @cached_property
     def bob(self) -> np.ndarray:
         root = np.sqrt(np.where(np.isnan(self.fidelities), np.inf, self.probabilities))  # bob is 0 where not kept
         # complex times real: (re * s, im * s), each a single rounded product
         return self.inputs[:, None, :] * (self.polar / root[..., None])
+
+    @cached_property
+    def corrections(self) -> np.ndarray:
+        return _corrections(self.matrices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +227,9 @@ def branch_stack(n, ell, p) -> BranchStack:
     scalar expressions in the module docstring, and the Grams are read off
     the entries (see there), so a tuple gives the same bits whatever G.
     """
-    entries = _entries(finite_rows([n, ell, p], "n, ell and p"))
+    params = finite_rows([n, ell, p], "n, ell and p")
+    entries = _entries(params, squared_moduli(params, ("n", "ell", "p")))
+    del params  # kept alive to the end, it slowed branch_stack on 8,000 points by about a tenth
     squares = entries.real * entries.real
     squares += entries.imag * entries.imag
     diagonals = squares.reshape(4, 2, -1).transpose(1, 2, 0)  # (2, G, 4)
@@ -240,8 +246,8 @@ _NONZERO = np.array([0, 3, 4, 7, 10, 9, 14, 13])
 _LABEL_ARRAY = np.array(BASIS_LABELS, dtype=object)
 
 
-def _entries(params: np.ndarray) -> np.ndarray:
-    """(8, G) nonzero transfer-matrix entries of a (3, G) array of n, l and p.
+def _entries(params: np.ndarray, mod2: np.ndarray) -> np.ndarray:
+    """(8, G) nonzero transfer-matrix entries of a (3, G) array of n, l and p with squared_moduli mod2.
 
     Each entry gets the bits of the scalar construction: the products
     n l* and n p through the real and imaginary parts exactly as
@@ -250,7 +256,7 @@ def _entries(params: np.ndarray) -> np.ndarray:
     stays two single products whatever the ufunc does with the zero
     imaginary part of the weight.
     """
-    nw, lw, pw = 1.0 / np.sqrt(1.0 + squared_moduli(params, ("n", "ell", "p")))
+    nw, lw, pw = 1.0 / np.sqrt(1.0 + mod2)
     (nr, lr, pr), (ni, li, pi) = params.real, params.imag
     entries = np.zeros((8, params.shape[1]), dtype=complex)
     re, im = entries.real, entries.imag
@@ -375,7 +381,7 @@ def protocol_branches(params: ProtocolParams) -> BranchStack:
     """Matrices, faithfulness and branch probabilities of one parameter tuple.
 
     The batch of one of branch_stack; report(0) is its regime. The
-    corrections are left to evaluate_inputs: classify does not need them.
+    corrections are left to InputBatch: classify does not need them.
     """
     return branch_stack([params.n], [params.ell], [params.p])
 
@@ -430,9 +436,12 @@ def two_faithful_stack(n, index: int) -> BranchStack:
 
 
 def _two_faithful(n: np.ndarray, index: int) -> tuple:
-    """(l, p) arrays of rule `index` of _TWO_FAITHFUL, not finite where 1/n overflows (finite checks reject it)."""
-    make, _ = _choice(_TWO_FAITHFUL, index, not np.all(n))
-    with np.errstate(over="ignore", invalid="ignore"):
+    """(l, p) arrays of rule `index` of _TWO_FAITHFUL; where the rule divides by n, _refuse
+    names the first n where 1/|n| reaches MODULUS_BOUND."""
+    make, _, divides = _choice(_TWO_FAITHFUL, index, not np.all(n))
+    with np.errstate(over="ignore", invalid="ignore"):  # 1/|n| is inf below |n| = 1 / DBL_MAX
+        if divides:
+            _refuse(1.0 / np.hypot(n.real, n.imag), n, "1/n")
         return make(n)
 
 
@@ -442,14 +451,23 @@ def two_faithful_labels(index: int) -> tuple:
 
 
 def _choice(table: tuple, index: int, has_zero: bool = False) -> tuple:
-    """Rule and labels of entry `index` of _TWO_FAITHFUL or _ONE_FAITHFUL: BadInput unless
+    """Entry `index` (rule, labels, divides) of _TWO_FAITHFUL or _ONE_FAITHFUL: BadInput unless
     index is an integer 0..3, NonFinite where the rule divides by n and n has a zero."""
     if index not in range(4) or not isinstance(index, (int, np.integer)):
         raise BadInput(f"index must be 0..3, got {index!r}")
-    rule, labels, divides = table[index]
-    if divides and has_zero:
+    if table[index][2] and has_zero:
         raise NonFinite("choice needs a nonzero resource parameter")
-    return rule, labels
+    return table[index]
+
+
+def _refuse(moduli: np.ndarray, n: np.ndarray, what: str) -> None:
+    """NonFinite naming |n| (n, if |n|^2 overflows) at the first n[g] where moduli[g] >= MODULUS_BOUND."""
+    too_large = np.flatnonzero(~(moduli < MODULUS_BOUND))
+    if too_large.size:
+        z = n[too_large[0]]
+        squared_modulus(complex(z), "n")
+        raise NonFinite(f"{what} is too large at |n| = {float(np.hypot(z.real, z.imag))!r}: "
+                        "it or a power of it overflows a float")
 
 
 def one_faithful_choice(n, index: int) -> ProtocolParams:
@@ -471,18 +489,14 @@ def _one_faithful(n: np.ndarray, index: int) -> tuple:
 
     It is 1 at n = 0 and otherwise over twice both moduli that would make its
     branch pair faithful, so that pair stays unfaithful at any |n|; NonFinite names
-    it (or n, if |n|^2 overflows) at the first n where it reaches MODULUS_BOUND.
+    it through _refuse at the first n where it reaches MODULUS_BOUND.
     """
-    rule, _ = _choice(_ONE_FAITHFUL, index, not np.all(n))
+    rule, _, _ = _choice(_ONE_FAITHFUL, index, not np.all(n))
     with np.errstate(over="ignore"):  # 1/|n| is inf below |n| = 1 / DBL_MAX
         modulus = np.hypot(n.real, n.imag)
         inverse = np.divide(1.0, modulus, out=np.zeros_like(modulus), where=modulus != 0.0)
         generic = 2.0 * np.maximum(modulus, inverse) + 1.0
-    too_large = np.flatnonzero(~(generic < MODULUS_BOUND))
-    if too_large.size:
-        squared_modulus(complex(n[too_large[0]]), "n")  # names n where n itself overflows
-        raise NonFinite("the generic value 2 max(|n|, 1/|n|) + 1 is too large at "
-                        f"|n| = {float(modulus[too_large[0]])!r}: it or a power of it overflows a float")
+    _refuse(generic, n, "the generic value 2 max(|n|, 1/|n|) + 1")
     return rule(n, generic)
 
 
@@ -517,17 +531,13 @@ def evaluate_inputs(stack: BranchStack, inputs) -> InputBatch:
         moduli = psi.real * psi.real + psi.imag * psi.imag
     if not (np.abs((moduli[:, 0] + moduli[:, 1]) - 1.0) <= TOL_NORM).all():  # so NaN and inf fail
         raise BadInput("input amplitudes must be finite, with |alpha|^2 + |beta|^2 = 1 within TOL_NORM")
-    matrices = stack.matrices[0]
-    corrections = _corrections(matrices)
-    # terms [k, j, i] are |M_k[i, j]|^2 and Re(U_k[j, i] M_k[i, j]), summed over i to g and h
-    mr, mi = matrices.real.swapaxes(-1, -2), matrices.imag.swapaxes(-1, -2)
-    terms = np.array([mr * mr + mi * mi, corrections.real * mr - corrections.imag * mi])
-    forms = terms[..., 0] + terms[..., 1]  # (2, 4, 2): g, h
+    g = stack.diagonals[:, 0].T  # (4, 2): Gram diagonal j of M_k at [k, j]
+    forms = np.array([g, np.sqrt(g)])  # g and h, exact for the monomial M_k
     probs, overlaps = moduli[:, :1] * forms[:, None, :, 0] + moduli[:, 1:] * forms[:, None, :, 1]
     kept = probs >= np.where(stack.faithful[0], sys.float_info.min, TOL_PROB)
     ratio = overlaps / np.sqrt(np.where(kept, probs, np.nan))  # NaN where not kept
     fids = np.minimum(ratio * ratio, 1.0)
-    return InputBatch(probs, corrections, fids, psi, forms[1])
+    return InputBatch(probs, fids, psi, forms[1], stack.matrices[0])
 
 
 def haar_inputs(count: int, rng) -> np.ndarray:

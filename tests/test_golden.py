@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polar_reference import reference_correction
 from teleportrix import qcore, teleport
 from teleportrix.cli import main
 from teleportrix.ebasis import BASIS_LABELS, general_basis, resource_state
@@ -89,10 +88,11 @@ GOLDEN = [
      "8deedb1405fb0bdb520d84eaf189e81c4349b201e54d01fbe497c7cc8f94b381"),
     # exhaustive fixed input as CSV: empty empirical_frequency cells; re-recorded
     # for the closed-form polar correction, whose faithful fidelity here is 1.0,
-    # and for the quadratic forms
+    # for the quadratic forms, and for h = sqrt(g) (PsiPlus fidelity
+    # 0.7538461538461546 -> 0.753846153846154; exactly 49/65)
     (["teleport", "--n", "0.3+0.4i", "--l", "0.3+0.4i", "--p", "3", "--alpha", "0.6",
       "--beta", "0.8i", "--output", "csv", "--precision", "17"],
-     "85cb5c62178f7277a7752936d1928d5eef7c70a9a89791ab349fff084f5895d9"),
+     "25391434673710207afb3cff6cbe3c315470b215e679d5a1f241a1881951a372"),
     # two outcomes below TOL_PROB: null entropy and target
     (["swap", *_DEAD_OUTCOMES],
      "8ab59cb2f9edef365cceffe0372a589a9b79d7755098e7cfa40d54089e53f5f7"),
@@ -348,15 +348,13 @@ def test_quadratic_forms_hold_at_any_scale(zero):
 def _reference_branch(matrix, psi):
     # one branch of one input in Python floats: p = |alpha|^2 g0 + |beta|^2 g1
     # with g the Gram diagonal of M (one nonzero entry per column), and
-    # fidelity (q / sqrt(p))^2 with q = |alpha|^2 h0 + |beta|^2 h1, h the real
-    # diagonal of U M for the one-matrix polar correction U
+    # fidelity (q / sqrt(p))^2 with q = |alpha|^2 h0 + |beta|^2 h1, h = sqrt(g)
+    # the diagonal of U M = sqrt(M^dag M)
     a2, b2 = (z.real * z.real + z.imag * z.imag for z in map(complex, psi))
     m = [[complex(z) for z in row] for row in matrix]
-    u = [[complex(z) for z in row] for row in reference_correction(matrix)]
     g = [(m[0][j].real * m[0][j].real + m[0][j].imag * m[0][j].imag)
          + (m[1][j].real * m[1][j].real + m[1][j].imag * m[1][j].imag) for j in (0, 1)]
-    h = [(u[j][0].real * m[0][j].real - u[j][0].imag * m[0][j].imag)
-         + (u[j][1].real * m[1][j].real - u[j][1].imag * m[1][j].imag) for j in (0, 1)]
+    h = [math.sqrt(x) for x in g]
     prob = a2 * g[0] + b2 * g[1]
     if prob < TOL_PROB:
         return prob, None

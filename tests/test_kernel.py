@@ -32,7 +32,7 @@ class TestCompleteness:
 
     def test_branch_stack_checks_the_matrices_it_builds(self, monkeypatch):
         entries = teleport._entries
-        monkeypatch.setattr(teleport, "_entries", lambda params: entries(params) * 1.001)
+        monkeypatch.setattr(teleport, "_entries", lambda *args: entries(*args) * 1.001)
         with pytest.raises(CompletenessError):
             teleport.branch_stack([0.5], [0.5], [2])
 

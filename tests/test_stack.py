@@ -14,7 +14,7 @@ from teleportrix.errors import BadInput, CompletenessError, NonFinite
 from teleportrix.teleport import ProtocolParams, TransferMatrix
 from teleportrix.tolerances import TOL_EQ
 
-from register_reference import PAULI_X
+from register_reference import PAULI_X, swap_inputs
 
 
 def _closed_form_close(got, n, k):
@@ -174,8 +174,8 @@ class TestScaleInvariantFaithfulness:
 
 class TestOverflowHelper:
     @pytest.mark.parametrize("call", [
-        lambda: swap.swap_inputs(1e200, 1),
-        lambda: swap.swap_inputs(1, -1e200j),
+        lambda: swap_inputs(1e200, 1),
+        lambda: swap_inputs(1, -1e200j),
         lambda: swap.two_outcome_swap_probability(1e100, 1),
         lambda: swap.two_outcome_swap_probability(1, 1e100),
         lambda: swap.three_outcome_swap_probability(1e100),
@@ -204,6 +204,29 @@ class TestOverflowHelper:
             teleport.one_faithful_choice(1e-200, index)
         with pytest.raises(NonFinite, match=message):
             teleport.one_faithful_stack([0.5, 1e-200], index)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_choices_refuse_where_1_over_n_reaches_the_bound(self, index):
+        # 1/|n| reaches MODULUS_BOUND = 1e154 at |n| = 1e-154: just below it the
+        # two-faithful rules that divide by n (1..3) refuse, naming |n|, and just above
+        # it they classify; rule 0 keeps n as it is. The one-faithful generic value
+        # 2/|n| + 1 is too large on both sides, up to |n| = 2e-154.
+        below, above = 0.999e-154, 1.001e-154
+        for n in (below, 1e-160 + 1e-160j, above, 2.001e-154):
+            if index and abs(n) < 1e-154:
+                with pytest.raises(NonFinite, match=r"^1/n is too large at \|n\| = "):
+                    teleport.two_faithful_choice(n, index)
+                with pytest.raises(NonFinite, match=r"^1/n is too large at \|n\| = "):
+                    teleport.two_faithful_stack([0.5, n], index)
+            else:
+                report = teleport.classify(teleport.two_faithful_choice(n, index))
+                assert report.faithful_outcomes == teleport.two_faithful_labels(index)
+            if abs(n) < 2e-154:
+                with pytest.raises(NonFinite, match=r"^the generic value .* at \|n\| = "):
+                    teleport.one_faithful_choice(n, index)
+            else:
+                report = teleport.classify(teleport.one_faithful_choice(n, index))
+                assert report.faithful_outcomes == (teleport.one_faithful_labels(index),)
 
     def test_array_form_matches_scalar_bits(self):
         rng = np.random.default_rng(42)

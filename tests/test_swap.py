@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from register_reference import swap_inputs
 from teleportrix import qcore
 from teleportrix.ebasis import BasisParams, basis_entropy, general_basis
 from teleportrix.errors import NonFinite
@@ -14,7 +15,6 @@ from teleportrix.swap import (
     SwapParams,
     classify_swap,
     phase_matched_choice,
-    swap_inputs,
     swap_run,
     three_outcome_swap_probability,
     two_outcome_choice,

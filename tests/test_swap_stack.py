@@ -1,7 +1,8 @@
 """The stacked swap contraction against a Python-float transcription of
 its arithmetic, bit for bit, and against the per-outcome project_all loop
 it replaced, to rounding: probabilities, reliability, targets, remainders
-and entropies."""
+and entropies. Its probabilities against teleport's for the input
+(M, M m), to rounding."""
 
 import cmath
 import math
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polar_reference import product
-from teleportrix import measure, qcore
+from register_reference import swap_inputs
+from teleportrix import measure, qcore, teleport
 from teleportrix.complexfmt import weight
 from teleportrix.ebasis import BASIS_LABELS, EntangledBasis, basis_stack, general_basis
 from teleportrix.errors import BadInput, NonFinite
@@ -21,7 +23,6 @@ from teleportrix.swap import (
     SwapParams,
     classify_swap,
     phase_matched_choice,
-    swap_inputs,
     swap_run,
     swap_stack,
     two_outcome_choice,
@@ -65,44 +66,53 @@ def reference_swap_run(params):
     return rows
 
 
-def reference_contraction(params):
-    """R_k = C1^T B_k^* C2 entry by entry in Python floats, in swap_stack's order.
+def _column_entries(n, ell, p):
+    """The nonzero entry of columns 0 and 1 of teleport's M_0 .. M_3, in Python complex arithmetic
+    as the teleport module docstring writes the matrices, the weight product last."""
+    nw, lw, pw = weight(n, "n"), weight(ell, "ell"), weight(p, "p")
+    columns = [(1, n * ell.conjugate()), (ell, -n), (n, p.conjugate()), (n * p, -1)]
+    return [[complex(z) * (nw * (lw if k < 2 else pw)) for z in pair] for k, pair in enumerate(columns)]
 
-    Entry (b, 2) of outcome k is conj(B_k[b, not 2]) times the register
-    amplitude M (1, m)[b] N (n, 1)[2]; the probability sums the squared
-    entries over 2 and then over b, the Schmidt weights are those sums
-    over p, and each primed coefficient sums its four products in order.
+
+def reference_contraction(params):
+    """R_k^T = X M_k diag(M, M m) entry by entry in Python floats, in swap_stack's order.
+
+    Row b of R_k is the entry in column b of teleport's M_k times M (1, m)[b],
+    on (b, 2) = (b, not b) for the Phi outcomes and (b, b) for the Psi
+    outcomes, the other two amplitudes +0. The probability sums the two
+    squared entries, the Schmidt weights are those squares over p, and each
+    of the two primed coefficients of the pair the remainder lies on sums
+    two products.
     """
-    pairs = _reference_basis(params.m, params.n, ("0", "1")).vectors
-    first = [(z.real, z.imag) for z in pairs["PhiPlus"].amps[[0, 3]].tolist()]  # M (1, m)
-    second = [(z.real, z.imag) for z in pairs["PsiPlus"].amps[[2, 1]].tolist()]  # N (n, 1)
-    amps = [product(first[b], second[q]) for b in (0, 1) for q in (0, 1)]
-    basis = _reference_basis(params.ell, params.p, ("0", "1"))
-    primed = _reference_basis(params.ell_prime, params.p_prime, ("b", "2"))
+    mw = weight(params.m, "m")
+    first = [(mw, 0.0), ((mw * params.m).real, (mw * params.m).imag)]  # M (1, m)
     rows = []
-    for label in BASIS_LABELS:
-        vec = [complex(z) for z in basis.vectors[label].amps]
-        resid = [product((vec[j ^ 1].real, -vec[j ^ 1].imag), amps[j]) for j in range(4)]
+    for k, (label, column) in enumerate(zip(BASIS_LABELS, _column_entries(params.n, params.ell, params.p))):
+        resid = [product((z.real, z.imag), first[b]) for b, z in enumerate(column)]
         squares = [re * re + im * im for re, im in resid]
-        weights = (squares[0] + squares[1], squares[2] + squares[3])
-        prob = weights[0] + weights[1]
+        prob = squares[0] + squares[1]
         if prob < TOL_PROB:
             rows.append((label, prob, None, False, None, None))
             continue
         root = math.sqrt(prob)
-        state = [(re / root, im / root) for re, im in resid]
-        mags = {}
-        for target in BASIS_LABELS:
-            terms = [product((z.real, -z.imag), s) for z, s in zip(primed.vectors[target].amps.tolist(), state)]
-            re = ((terms[0][0] + terms[1][0]) + terms[2][0]) + terms[3][0]
-            im = ((terms[0][1] + terms[1][1]) + terms[2][1]) + terms[3][1]
-            mags[target] = float(np.hypot(re, im))
-        best = max(mags, key=mags.get)
-        others = max(v for target, v in mags.items() if target != best)
-        reliable = mags[best] > 0.0 and others <= TOL_EQ * mags[best]
-        ent = qcore.shannon_entropy((weights[0] / prob, weights[1] / prob), 1.0)
-        rows.append((label, prob, np.array([complex(re, im) for re, im in state]), reliable,
-                     best if reliable else None, ent))
+        unit = [(re / root, im / root) for re, im in resid]
+        # the primed pair the remainder lies on: Psi' (offset 2) for the Phi outcomes, Phi' for the Psi ones
+        offset, c = (2, params.p_prime) if k < 2 else (0, params.ell_prime)
+        w = weight(c, "c")
+        wc = w * c
+        plus, minus = [(w, 0.0), (wc.real, -wc.imag)], [(wc.real, wc.imag), (-w, 0.0)]
+        mags = []
+        for vector in (plus, minus):
+            terms = [product(x, u) for x, u in zip(vector, unit)]
+            mags.append(float(np.hypot(terms[0][0] + terms[1][0], terms[0][1] + terms[1][1])))
+        best = 0 if mags[0] >= mags[1] else 1
+        reliable = mags[best] > 0.0 and mags[1 - best] <= TOL_EQ * mags[best]
+        state = [0j] * 4
+        for b, (re, im) in zip((1, 2) if k < 2 else (0, 3), unit):
+            state[b] = complex(re, im)
+        ent = qcore.shannon_entropy((squares[0] / prob, squares[1] / prob), 1.0)
+        target = BASIS_LABELS[offset + best] if reliable else None
+        rows.append((label, prob, np.array(state), reliable, target, ent))
     return rows
 
 
@@ -235,6 +245,26 @@ class TestWeights:
             want = _reference_basis(ell, p, ("0", "1"))
             for label in BASIS_LABELS:
                 assert got.vectors[label].amps.tobytes() == want.vectors[label].amps.tobytes()
+
+
+def test_swap_is_teleportation_of_half_a_pair():
+    # R_k^T = X M_k diag(M, M m), so outcome k of the swap has the probability that
+    # teleport's branch k gives the input (M, M m): evaluate_inputs reaches it through
+    # the Gram diagonals of M_k, not through the swap's products. Log-uniform moduli,
+    # m at 1e150 and 1e-150 in a third of the tuples each.
+    rng = np.random.default_rng(61)
+
+    def draw(modulus=None):
+        modulus = 10.0 ** rng.uniform(-150.0, 150.0) if modulus is None else modulus
+        return cmath.rect(modulus, rng.uniform(0.0, 2.0 * math.pi))
+
+    tuples = [(draw((None, 1e150, 1e-150)[g % 3]), *(draw() for _ in range(5))) for g in range(600)]
+    stack = swap_stack(*zip(*tuples))
+    for (m, n, ell, p, _, _), probs in zip(tuples, stack.probabilities):
+        mw = weight(m, "m")
+        branches = teleport.protocol_branches(teleport.ProtocolParams(n, ell, p))
+        want = teleport.evaluate_inputs(branches, [(mw, mw * m)]).probabilities[0]
+        assert np.all(np.abs(probs - want) <= 2e-15 * want)
 
 
 class TestValidation:
