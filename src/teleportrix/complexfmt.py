@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import re
 
 import numpy as np
 
 from .errors import BadInput, NonFinite, ParseError
 
-_REAL = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_RE_REAL = re.compile(rf"^({_REAL})$")
-_RE_IMAG = re.compile(rf"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?)i$")
-_RE_BOTH = re.compile(rf"^({_REAL})([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-])i$")
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# an optional real part, then an optional imaginary part that needs its sign only after a real part
+_RE_COMPLEX = re.compile(rf"([+-]?{_NUMBER})?(?:((?(1)[+-]|[+-]?)(?:{_NUMBER})?)i)?")
 MODULUS_BOUND = 1e154  # from this modulus up, a power may overflow: squared_moduli checks each value
 
 
@@ -31,40 +31,28 @@ def parse_complex(text: str) -> complex:
     token = text.strip()
     if not token:
         raise ParseError("empty complex literal")
-    m = _RE_REAL.match(token)
-    if m:
-        return complex(float(m.group(1)), 0.0)
-    m = _RE_IMAG.match(token)
-    if m:
-        return complex(0.0, _imag_part(m.group(1)))
-    m = _RE_BOTH.match(token)
-    if m:
-        return complex(float(m.group(1)), _imag_part(m.group(2)))
-    raise ParseError(f"cannot parse complex number from {token!r}")
-
-
-def _imag_part(digits: str) -> float:
-    if digits in ("", "+"):
-        return 1.0
-    if digits == "-":
-        return -1.0
-    return float(digits)
+    m = _RE_COMPLEX.fullmatch(token)
+    if not m:
+        raise ParseError(f"cannot parse complex number from {token!r}")
+    real, imag = m.groups()
+    if imag is None:
+        return complex(float(real), 0.0)
+    return complex(float(real or 0.0), float(imag + "1" if imag in ("", "+", "-") else imag))
 
 
 def format_complex(z: complex, digits: int = 12) -> str:
     """Render a complex number in the format parse_complex accepts."""
-    re_s = f"{z.real:.{digits}g}"
-    im_s = f"{abs(z.imag):.{digits}g}"
     if z.imag == 0.0:
-        return re_s
-    sign = "+" if z.imag > 0 else "-"
+        return f"{z.real:.{digits}g}"
     if z.real == 0.0:
-        return f"{sign if sign == '-' else ''}{im_s}i"
-    return f"{re_s}{sign}{im_s}i"
+        return f"{z.imag:.{digits}g}i"
+    return f"{z.real:.{digits}g}{z.imag:+.{digits}g}i"
 
 
 def finite_complex(value, name: str) -> complex:
-    """A number or complex literal string as a complex value; NonFinite unless finite."""
+    """A number or complex literal string as a complex value: ParseError otherwise, NonFinite unless finite."""
+    if not isinstance(value, (str, numbers.Number)):
+        raise ParseError(f"{name} must be a number or a complex literal, got {type(value).__name__}")
     z = parse_complex(value) if isinstance(value, str) else complex(value)
     if not cmath.isfinite(z):
         raise NonFinite(f"{name} must be finite, got {z!r}")
@@ -88,10 +76,6 @@ def finite_rows(rows, what: str) -> np.ndarray:
     return array
 
 
-def _too_large(name: str, z: complex) -> NonFinite:
-    return NonFinite(f"{name} = {z!r} is too large: a power of |{name}| overflows a float")
-
-
 def squared_modulus(z: complex, name: str, power: int = 1) -> float:
     """|z|^2 as abs (hypot) then a float power.
 
@@ -102,7 +86,7 @@ def squared_modulus(z: complex, name: str, power: int = 1) -> float:
         mod2 = abs(z) ** 2
         (1.0 + mod2) ** power
     except OverflowError:
-        raise _too_large(name, z) from None
+        raise NonFinite(f"{name} = {z!r} is too large: a power of |{name}| overflows a float") from None
     return mod2
 
 

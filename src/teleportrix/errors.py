@@ -26,7 +26,7 @@ class BadSubset(TeleportrixError):
 
 
 class NonFinite(TeleportrixError):
-    """A protocol parameter is NaN or infinite."""
+    """A protocol parameter or a caller-built matrix entry is NaN or infinite."""
 
 
 class BadPair(TeleportrixError):
@@ -46,4 +46,4 @@ class BadInput(TeleportrixError):
 
 
 class ParseError(TeleportrixError):
-    """Text does not parse as a complex number or grid specification."""
+    """Text does not parse as a complex number or grid specification, or a parameter is not a number."""

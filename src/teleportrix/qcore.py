@@ -89,6 +89,8 @@ class DensityMatrix:
         dim = entries.shape[0]
         if dim not in (2, 4, 8):
             raise ShapeError(f"unsupported density matrix dimension {dim}")
+        if not np.isfinite(entries).all():  # every check below is False on NaN
+            raise NormalizationError("density matrix entries must be finite")
         if np.max(np.abs(entries - entries.conj().T)) > TOL_NORM:
             raise ShapeError("density matrix is not Hermitian")
         if abs(np.trace(entries).real - 1.0) > TOL_NORM or abs(np.trace(entries).imag) > TOL_NORM:

@@ -54,8 +54,8 @@ import numpy as np
 
 from . import measure, qcore
 from .complexfmt import MODULUS_BOUND, finite_complex, finite_rows, squared_moduli, squared_modulus
-from .ebasis import BASIS_LABELS, BasisParams, general_basis, regime_name, resource_state
-from .errors import BadInput, CompletenessError, NonFinite, SingularMatrix
+from .ebasis import BASIS_LABELS, general_basis, regime_name, resource_state
+from .errors import BadInput, CompletenessError, NonFinite, ShapeError, SingularMatrix
 from .measure import count_outcomes, sample_outcomes  # re-exported under their teleport names
 from .qcore import PureState
 from .tolerances import TOL_EQ, TOL_NORM, TOL_PROB
@@ -95,17 +95,26 @@ class ProtocolParams:
         for name in ("n", "ell", "p"):
             object.__setattr__(self, name, finite_complex(getattr(self, name), name))
 
-    @property
-    def basis_params(self) -> BasisParams:
-        return BasisParams(self.ell, self.p)
-
 
 @dataclass(frozen=True, eq=False)
 class TransferMatrix:
-    """Map from input amplitudes to Bob's unnormalized conditioned pair."""
+    """Map from input amplitudes to Bob's unnormalized conditioned pair, kept as a read-only
+    complex 2x2 copy: ShapeError for any other shape, NonFinite for a NaN or infinite entry."""
 
     label: str
     matrix: np.ndarray
+
+    def __post_init__(self):
+        try:
+            matrix = np.array(self.matrix, dtype=complex)
+        except (TypeError, ValueError):
+            raise ShapeError("a transfer matrix must be a 2x2 array of numbers") from None
+        if matrix.shape != (2, 2):
+            raise ShapeError(f"a transfer matrix must be 2x2, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise NonFinite("transfer matrix entries must be finite")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,13 +324,17 @@ def check_completeness(matrices) -> None:
 
     Accepts any iterable of 2x2 matrices, a (K, 2, 2) stack, or a
     (G, K, 2, 2) stack checked group by group. A non-finite entry fails
-    the check rather than passing it; an empty input raises BadInput.
+    the check rather than passing it; an empty, ragged or non-numeric
+    input, or one of another shape, raises BadInput.
     """
-    if not isinstance(matrices, np.ndarray):
-        matrices = np.array(list(matrices), dtype=complex)
-    if matrices.size == 0:
-        raise BadInput("check_completeness needs at least one matrix")
-    _check_gram_total(*qcore.gram(matrices))
+    try:
+        matrices = np.asarray(matrices if isinstance(matrices, np.ndarray) else list(matrices), dtype=complex)
+    except (TypeError, ValueError):
+        raise BadInput("check_completeness needs 2x2 matrices of numbers") from None
+    if matrices.size == 0 or matrices.ndim < 3 or matrices.shape[-2:] != (2, 2):
+        raise BadInput(f"check_completeness needs a nonempty (..., K, 2, 2) stack, got shape {matrices.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or overflowed Gram fails the check below
+        _check_gram_total(*qcore.gram(matrices))
 
 
 def is_faithful(tm: TransferMatrix) -> bool:
@@ -591,5 +604,5 @@ def measured_probabilities(input_amps, params: ProtocolParams) -> dict:
     route for verification.
     """
     state = qcore.tensor(PureState(("a",), np.array(_parsed_input(input_amps))), resource_state(params.n))
-    outcomes = measure.project_all(state, ("a", "1"), general_basis(params.basis_params))
+    outcomes = measure.project_all(state, ("a", "1"), general_basis((params.ell, params.p)))
     return {o.label: o.probability for o in outcomes}

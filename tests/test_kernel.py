@@ -46,6 +46,25 @@ class TestCompleteness:
         with pytest.raises(CompletenessError):
             teleport.check_completeness(mats)
 
+    def test_infinite_entry_fails_without_a_warning(self):
+        mats = np.stack([tm.matrix for tm in teleport.transfer_matrices(ProtocolParams(1, 1, 1))])
+        mats[1, 0, 1] = np.inf
+        with pytest.raises(CompletenessError):
+            teleport.check_completeness(mats)
+
+    def test_ragged_input_is_bad_input(self):
+        with pytest.raises(BadInput):
+            teleport.check_completeness([[[1, 0], [0, 0]], [[0, 0]]])
+
+    def test_non_numeric_input_is_bad_input(self):
+        with pytest.raises(BadInput):
+            teleport.check_completeness([[["a", 0], [0, 1]]])
+
+    @pytest.mark.parametrize("mats", [[np.eye(3)], np.eye(2), np.ones((4, 2, 3))], ids=["3x3", "2x2", "2x3"])
+    def test_matrices_of_another_shape_are_bad_input(self, mats):
+        with pytest.raises(BadInput, match="shape"):
+            teleport.check_completeness(mats)
+
 
 class TestOverflow:
     @pytest.mark.parametrize("n,ell,p", [(1e200, 1, 1), (1, 1e200j, 1), (1, 1, -1e160)])

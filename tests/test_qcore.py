@@ -210,6 +210,11 @@ class TestEntropy:
         with pytest.raises(ShapeError):
             DensityMatrix(np.diag([0.7, 0.7]))
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=repr)
+    def test_density_matrix_with_a_non_finite_entry_is_rejected(self, entry):
+        with pytest.raises(NormalizationError):
+            DensityMatrix([[entry, 0.0], [0.0, 1.0]])
+
 
 class TestFidelity:
     def test_self_fidelity(self):

@@ -8,7 +8,7 @@ import pytest
 
 from teleportrix import teleport
 from teleportrix.ebasis import BASIS_LABELS, basis_entropy
-from teleportrix.errors import BadInput, NonFinite, SingularMatrix
+from teleportrix.errors import BadInput, NonFinite, ShapeError, SingularMatrix
 from teleportrix.qcore import PAULI_I
 from teleportrix.teleport import (
     ProtocolParams,
@@ -97,6 +97,40 @@ class TestIsFaithful:
 
     def test_zero_matrix(self):
         assert not is_faithful(TransferMatrix("x", np.zeros((2, 2))))
+
+
+class TestCallerTransferMatrix:
+    def test_square_matrix_of_another_size_is_a_shape_error(self):
+        with pytest.raises(ShapeError):
+            TransferMatrix("x", np.eye(3))
+
+    def test_non_square_matrix_is_a_shape_error(self):
+        with pytest.raises(ShapeError):
+            TransferMatrix("x", np.ones((2, 3)))
+
+    @pytest.mark.parametrize("matrix", [[[1, 0], [0]], [["a", 0], [0, 1]], [[{}, 0], [0, 1]]], ids=repr)
+    def test_ragged_or_non_numeric_matrix_is_a_shape_error(self, matrix):
+        with pytest.raises(ShapeError):
+            TransferMatrix("x", matrix)
+
+    def test_nested_list_is_read_as_a_matrix(self):
+        tm = TransferMatrix("x", [[0, 0.5], [0.5, 0]])
+        assert is_faithful(tm)
+        assert teleport.branch_probability(tm) == 0.25
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(0, float("-inf"))], ids=repr)
+    def test_non_finite_entry_is_rejected(self, entry):
+        matrix = PAULI_X / 2
+        matrix[0, 1] = entry
+        with pytest.raises(NonFinite):
+            TransferMatrix("x", matrix)
+
+    def test_matrix_is_a_read_only_copy(self):
+        matrix = PAULI_X / 2
+        tm = TransferMatrix("x", matrix)
+        matrix[0, 1] = 1.0
+        assert tm.matrix[0, 1] == 0.5
+        assert not tm.matrix.flags.writeable
 
 
 class TestCorrectionUnitary:
