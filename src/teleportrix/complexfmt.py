@@ -4,9 +4,10 @@ Accepted forms: "a", "bi", "a+bi", "a-bi" with decimal reals (an optional
 exponent is tolerated), plus a bare "i" meaning "1i". This is the only
 format the CLI emits, so reports round-trip through parse_complex.
 
-The checks every complex parameter passes live here too: finiteness,
-and the squared modulus |z|^2 that the normalizations and closed forms
-are built from, which raises NonFinite where a power of |z| overflows.
+The checks of every number and array a caller hands the library live
+here too: finiteness, finite_array's one conversion of an array, and the
+squared modulus |z|^2 that the normalizations and closed forms are built
+from, which raises NonFinite where a power of |z| overflows.
 """
 
 from __future__ import annotations
@@ -59,20 +60,24 @@ def finite_complex(value, name: str) -> complex:
     return z
 
 
-def finite_rows(rows, what: str) -> np.ndarray:
-    """(R, G) complex array of R nonempty (G,) arrays of finite values.
-
-    Raises BadInput for ragged or non-vector rows and NonFinite for a
-    NaN or infinite entry; `what` names the rows in the message.
-    """
+def finite_array(value, dtype, what: str, error: type, nonfinite: type) -> np.ndarray:
+    """np.asarray(value, dtype), so an array of dtype is not copied: error naming `what` for ragged
+    or non-numeric data, nonfinite for a NaN or infinite entry."""
     try:
-        array = np.array(rows, dtype=complex)
-    except ValueError:
-        raise BadInput(f"{what} must be arrays of one shape") from None
+        array = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise error(f"{what} must be numbers in an array of one shape") from None
+    if not np.isfinite(array).all():
+        raise nonfinite(f"{what} must be finite")
+    return array
+
+
+def finite_rows(rows, what: str) -> np.ndarray:
+    """(R, G) complex array of R nonempty (G,) arrays of finite values: finite_array's BadInput
+    and NonFinite, and BadInput for rows that are not nonempty vectors."""
+    array = finite_array(rows, complex, what, BadInput, NonFinite)
     if array.ndim != 2 or array.shape[1] == 0:
         raise BadInput(f"{what} must be nonempty (G,) arrays, got shape {array.shape[1:]}")
-    if not np.isfinite(array).all():
-        raise NonFinite(f"{what} must be finite")
     return array
 
 

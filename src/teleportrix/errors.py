@@ -6,11 +6,11 @@ class TeleportrixError(Exception):
 
 
 class ShapeError(TeleportrixError):
-    """Amplitude or matrix dimensions do not match the declared register."""
+    """Dimensions do not match the declared register, or a state's or matrix's array is ragged or non-numeric."""
 
 
 class NormalizationError(TeleportrixError):
-    """State vector is zero, non-finite, or not unit norm."""
+    """A state or Schmidt coefficients are zero, non-finite or off unit norm, or a density matrix non-finite."""
 
 
 class LabelCollision(TeleportrixError):
@@ -42,7 +42,7 @@ class SingularMatrix(TeleportrixError):
 
 
 class BadInput(TeleportrixError):
-    """Input qubit amplitudes are not a normalized finite pair."""
+    """Input amplitudes are not a normalized finite pair, or a probability table, stack, count or index is bad."""
 
 
 class ParseError(TeleportrixError):

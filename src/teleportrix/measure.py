@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .complexfmt import finite_array
 from .ebasis import BASIS_LABELS, EntangledBasis
 from .errors import BadInput, BadPair
 from .qcore import PureState
@@ -104,7 +105,7 @@ def _shot_counts(probabilities, shots: int, rng) -> np.ndarray:
     memory are O(K) whatever the shot count. shots must be an integer >= 0.
     """
     shots = _integer(shots, "shots", 0)
-    probabilities = np.asarray(probabilities, dtype=float)
+    probabilities = finite_array(probabilities, float, "probabilities", BadInput, BadInput)
     if probabilities.ndim != 2 or probabilities.shape[0] == 0 or probabilities.shape[1] != 4:
         raise BadInput(f"probabilities must be a nonempty (K, 4) array, got shape {probabilities.shape}")
     if not probabilities.min() >= 0.0:

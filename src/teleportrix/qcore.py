@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .complexfmt import finite_array
 from .errors import (
     BadSubset,
     LabelCollision,
@@ -49,13 +50,11 @@ class PureState:
             raise ShapeError("a state needs at least one qubit label")
         if len(set(labels)) != len(labels):
             raise LabelCollision(f"duplicate qubit labels in {labels!r}")
-        amps = np.array(self.amps, dtype=complex)
+        amps = finite_array(self.amps, complex, "amplitudes", ShapeError, NormalizationError).copy()
         if amps.ndim != 1 or amps.size != 2 ** len(labels):
             raise ShapeError(
                 f"{len(labels)} labels need {2 ** len(labels)} amplitudes, got {amps.size}"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise NormalizationError("amplitudes must be finite")
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > TOL_NORM:
             raise NormalizationError(f"squared norm {norm_sq!r} deviates from 1")
@@ -83,14 +82,13 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=complex)
+        entries = finite_array(self.entries, complex, "density matrix entries", ShapeError,
+                               NormalizationError).copy()
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ShapeError("density matrix must be square")
         dim = entries.shape[0]
         if dim not in (2, 4, 8):
             raise ShapeError(f"unsupported density matrix dimension {dim}")
-        if not np.isfinite(entries).all():  # every check below is False on NaN
-            raise NormalizationError("density matrix entries must be finite")
         if np.max(np.abs(entries - entries.conj().T)) > TOL_NORM:
             raise ShapeError("density matrix is not Hermitian")
         if abs(np.trace(entries).real - 1.0) > TOL_NORM or abs(np.trace(entries).imag) > TOL_NORM:
@@ -118,12 +116,14 @@ class SchmidtForm:
     basis_b: np.ndarray
 
     def __post_init__(self):
-        c = (float(self.coeffs[0]), float(self.coeffs[1]))
+        c = finite_array(self.coeffs, float, "Schmidt coefficients", ShapeError, NormalizationError)
+        if c.shape != (2,):
+            raise ShapeError(f"a Schmidt form needs two coefficients, got shape {c.shape}")
         if c[0] < c[1] or c[1] < -TOL_NORM:
             raise ShapeError("Schmidt coefficients must be descending and non-negative")
         if abs(c[0] ** 2 + c[1] ** 2 - 1.0) > TOL_NORM:
             raise NormalizationError("Schmidt coefficients must square-sum to 1")
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", tuple(c.tolist()))
 
     def reconstruct(self) -> np.ndarray:
         """Four amplitudes of the state this decomposition encodes."""
@@ -135,9 +135,7 @@ class SchmidtForm:
 
 def make_state(labels: Sequence, amps: Iterable) -> PureState:
     """Build a normalized state; rejects zero vectors and bad shapes (PureState's check)."""
-    arr = np.array(list(amps), dtype=complex)
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise NormalizationError("amplitudes must be finite")
+    arr = finite_array(list(amps), complex, "amplitudes", ShapeError, NormalizationError)
     norm_sq = float(np.vdot(arr, arr).real)
     if norm_sq < 1e-12:
         raise NormalizationError("cannot normalize a (near-)zero vector")

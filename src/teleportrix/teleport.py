@@ -53,7 +53,8 @@ from functools import cached_property
 import numpy as np
 
 from . import measure, qcore
-from .complexfmt import MODULUS_BOUND, finite_complex, finite_rows, squared_moduli, squared_modulus
+from .complexfmt import (MODULUS_BOUND, finite_array, finite_complex, finite_rows, squared_moduli,
+                         squared_modulus)
 from .ebasis import BASIS_LABELS, general_basis, regime_name, resource_state
 from .errors import BadInput, CompletenessError, NonFinite, ShapeError, SingularMatrix
 from .measure import count_outcomes, sample_outcomes  # re-exported under their teleport names
@@ -105,14 +106,9 @@ class TransferMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        try:
-            matrix = np.array(self.matrix, dtype=complex)
-        except (TypeError, ValueError):
-            raise ShapeError("a transfer matrix must be a 2x2 array of numbers") from None
+        matrix = finite_array(self.matrix, complex, "transfer matrix entries", ShapeError, NonFinite).copy()
         if matrix.shape != (2, 2):
             raise ShapeError(f"a transfer matrix must be 2x2, got shape {matrix.shape}")
-        if not np.isfinite(matrix).all():
-            raise NonFinite("transfer matrix entries must be finite")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
@@ -444,7 +440,7 @@ def two_faithful_choice(n, index: int) -> ProtocolParams:
 
 def two_faithful_stack(n, index: int) -> BranchStack:
     """branch_stack of two_faithful_choice(n[g], index) for a (G,) array n."""
-    n = np.asarray(n, dtype=complex)
+    n = finite_rows([n], "n")[0]
     return branch_stack(n, *_two_faithful(n, index))
 
 
@@ -493,7 +489,7 @@ def one_faithful_choice(n, index: int) -> ProtocolParams:
 
 def one_faithful_stack(n, index: int) -> BranchStack:
     """branch_stack of one_faithful_choice(n[g], index) for a (G,) array n."""
-    n = np.asarray(n, dtype=complex)
+    n = finite_rows([n], "n")[0]
     return branch_stack(n, *_one_faithful(n, index))
 
 
@@ -534,15 +530,12 @@ def evaluate_inputs(stack: BranchStack, inputs) -> InputBatch:
     """
     if len(stack.probabilities) != 1:
         raise BadInput(f"evaluate_inputs needs a stack of one parameter tuple, got {len(stack.probabilities)}")
-    try:
-        psi = np.asarray(inputs, dtype=complex)
-    except (TypeError, ValueError):
-        raise BadInput("inputs must be (alpha, beta) pairs of complex numbers") from None
+    psi = finite_array(inputs, complex, "input amplitudes", BadInput, BadInput)
     if psi.ndim != 2 or psi.shape[0] == 0 or psi.shape[1] != 2:
         raise BadInput(f"inputs must be a nonempty sequence of (alpha, beta) pairs, got shape {psi.shape}")
     with np.errstate(over="ignore"):  # |alpha|^2 is inf from |alpha| = 1e154 up
         moduli = psi.real * psi.real + psi.imag * psi.imag
-    if not (np.abs((moduli[:, 0] + moduli[:, 1]) - 1.0) <= TOL_NORM).all():  # so NaN and inf fail
+    if not (np.abs((moduli[:, 0] + moduli[:, 1]) - 1.0) <= TOL_NORM).all():  # so an overflowed square fails
         raise BadInput("input amplitudes must be finite, with |alpha|^2 + |beta|^2 = 1 within TOL_NORM")
     g = stack.diagonals[:, 0].T  # (4, 2): Gram diagonal j of M_k at [k, j]
     forms = np.array([g, np.sqrt(g)])  # g and h, exact for the monomial M_k
@@ -559,7 +552,7 @@ def haar_inputs(count: int, rng) -> np.ndarray:
     Each row takes four normal draws, two real parts then two imaginary
     parts, and is divided by its norm, in real float operations.
     """
-    g = rng.normal(size=(count, 2, 2))
+    g = rng.normal(size=(measure._integer(count, "count", 0), 2, 2))
     unit = g / np.sqrt((g * g).sum(axis=2).sum(axis=1))[:, None, None]  # two-term sums: any order rounds alike
     return unit[:, 0] + 1j * unit[:, 1]
 

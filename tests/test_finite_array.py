@@ -1,0 +1,96 @@
+"""complexfmt.finite_array: the one conversion of every array a caller hands the library.
+
+Each row of CASES is a call whose ragged, non-numeric, NaN or infinite
+input once leaked a numpy or Python error, constructed, or raised a
+message that did not name the bad data; it must raise the named
+TeleportrixError and no warning.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from teleportrix import ebasis, measure, qcore, teleport
+from teleportrix.complexfmt import finite_array
+from teleportrix.errors import BadInput, NonFinite, NormalizationError, ShapeError
+
+NAN, INF = math.nan, math.inf
+I2 = np.eye(2)
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _evaluate(inputs):
+    return teleport.evaluate_inputs(teleport.protocol_branches(teleport.ProtocolParams(0.5, 0.5, 2)), inputs)
+
+
+CASES = [
+    ("PureState ragged", lambda: qcore.PureState(("a",), [[1], [0, 1]]), ShapeError, "^amplitudes must be numbers"),
+    ("PureState text", lambda: qcore.PureState(("a",), ["x", 1]), ShapeError, "^amplitudes must be numbers"),
+    ("make_state ragged", lambda: qcore.make_state(("a",), [[1], [0, 1]]), ShapeError, "^amplitudes must be numbers"),
+    ("make_state text", lambda: qcore.make_state(("a",), ["x", 1]), ShapeError, "^amplitudes must be numbers"),
+    ("DensityMatrix ragged", lambda: qcore.DensityMatrix([[1], [0, 1]]), ShapeError, "^density matrix entries"),
+    ("DensityMatrix text", lambda: qcore.DensityMatrix("ab"), ShapeError, "^density matrix entries"),
+    ("count_outcomes ragged", lambda: measure.count_outcomes([[.5, .5, 0, 0], [1]], 10, _rng()),
+     BadInput, "^probabilities must be numbers"),
+    ("count_outcomes text", lambda: measure.count_outcomes([["a", .5, 0, 0]], 10, _rng()),
+     BadInput, "^probabilities must be numbers"),
+    ("count_outcomes nan", lambda: measure.count_outcomes([[NAN, .5, .5, 0]], 10, _rng()),
+     BadInput, "^probabilities must be finite$"),
+    ("count_outcomes inf", lambda: measure.count_outcomes([[INF, .5, .5, 0]], 10, _rng()),
+     BadInput, "^probabilities must be finite$"),
+    ("sample_outcomes ragged", lambda: measure.sample_outcomes([[.5, .5], [1, 0, 0, 0]], 3, _rng()),
+     BadInput, "^probabilities must be numbers"),
+    ("branch_stack dict", lambda: teleport.branch_stack([{}], [1], [1]), BadInput, "^n, ell and p must be numbers"),
+    ("basis_stack dict", lambda: ebasis.basis_stack([{}], [1]), BadInput, "^ell and p must be numbers"),
+    ("evaluate_inputs ragged", lambda: _evaluate([[1], [1, 0]]), BadInput, "^input amplitudes must be numbers"),
+    ("evaluate_inputs text", lambda: _evaluate([["x", 0]]), BadInput, "^input amplitudes must be numbers"),
+    ("haar_inputs negative", lambda: teleport.haar_inputs(-1, _rng()), BadInput, "^count must be >= 0"),
+    ("haar_inputs fraction", lambda: teleport.haar_inputs(2.5, _rng()), BadInput, "^count must be an integer"),
+    ("haar_inputs nan", lambda: teleport.haar_inputs(NAN, _rng()), BadInput, "^count must be an integer"),
+    ("haar_inputs inf", lambda: teleport.haar_inputs(INF, _rng()), BadInput, "^count must be an integer"),
+    ("two_faithful_stack text", lambda: teleport.two_faithful_stack(["x"], 0), BadInput, "^n must be numbers"),
+    ("two_faithful_stack nan", lambda: teleport.two_faithful_stack([NAN], 0), NonFinite, "^n must be finite$"),
+    ("two_faithful_stack inf", lambda: teleport.two_faithful_stack([INF], 1), NonFinite, "^n must be finite$"),
+    ("one_faithful_stack ragged", lambda: teleport.one_faithful_stack([[1], [1, 2]], 1),
+     BadInput, "^n must be numbers"),
+    ("one_faithful_stack nan", lambda: teleport.one_faithful_stack([NAN], 1), NonFinite, "^n must be finite$"),
+    ("one_faithful_stack inf", lambda: teleport.one_faithful_stack([INF], 1), NonFinite, "^n must be finite$"),
+    ("SchmidtForm nan", lambda: qcore.SchmidtForm((NAN, NAN), I2, I2), NormalizationError, "^Schmidt coefficients"),
+    ("SchmidtForm nan and zero", lambda: qcore.SchmidtForm((NAN, 0.0), I2, I2),
+     NormalizationError, "^Schmidt coefficients"),
+    ("SchmidtForm inf", lambda: qcore.SchmidtForm((INF, NAN), I2, I2), NormalizationError, "^Schmidt coefficients"),
+    ("SchmidtForm one", lambda: qcore.SchmidtForm((1.0,), I2, I2), ShapeError, "two coefficients"),
+    ("SchmidtForm text", lambda: qcore.SchmidtForm(("a", 0), I2, I2), ShapeError, "^Schmidt coefficients"),
+    ("SchmidtForm ragged", lambda: qcore.SchmidtForm(((1.0,), (0.0, 1.0)), I2, I2),
+     ShapeError, "^Schmidt coefficients"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_bad_array_raises_the_named_error_without_a_warning(call, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_an_array_of_the_dtype_is_not_copied(dtype):
+    array = np.linspace(0.0, 1.0, 12).astype(dtype).reshape(3, 4)
+    assert finite_array(array, dtype, "values", BadInput, NonFinite) is array
+
+
+def test_frozen_types_keep_their_own_read_only_copy():
+    amps = np.array([1.0, 0.0], dtype=complex)
+    entries = np.diag([1.0, 0.0]).astype(complex)
+    held = (qcore.PureState(("a",), amps).amps, qcore.DensityMatrix(entries).entries,
+            teleport.TransferMatrix("PhiPlus", entries).matrix)
+    for own, caller in zip(held, (amps, entries, entries)):
+        assert not np.shares_memory(own, caller)
+        assert not own.flags.writeable
+    assert amps.flags.writeable and entries.flags.writeable
