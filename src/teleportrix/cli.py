@@ -13,7 +13,9 @@ import json
 import math
 import os
 import sys
+from functools import cached_property
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -42,6 +44,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    @cached_property
+    def commands(self) -> dict:
+        """_scan's table, read from the subparsers: command -> (its long options that take one
+        value, by option string; its namespace of defaults; the dests it requires)."""
+        (sub,) = [action for action in self._actions if isinstance(action, argparse._SubParsersAction)]
+        return {name: ({option: a for option, a in parser._option_string_actions.items()
+                        if option.startswith("--") and type(a) is argparse._StoreAction and a.nargs is None},
+                       {sub.dest: name, **{a.dest: a.default for a in parser._actions
+                                           if a.default is not argparse.SUPPRESS}},
+                       {a.dest for a in parser._actions if a.required})
+                for name, parser in sub.choices.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,9 +110,36 @@ def _parser() -> argparse.ArgumentParser:
     return _PARSER
 
 
+def _scan(argv: list):
+    """_parser().parse_args(argv) for a command then its own long options, each once, as --name=value
+    or --name value (a value not starting with "-"), no value "--" (argparse 3.10-3.12 strip it), each
+    value of its type and choices; None for any other argv, left to argparse and its usage errors."""
+    commands = _parser().commands
+    if not (argv and all(isinstance(token, str) for token in argv) and argv[0] in commands):
+        return None
+    options, defaults, required = commands[argv[0]]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, joined, text = token.partition("=")
+        action = options.get(name)
+        if not joined:
+            text = next(tokens, "-")
+        if action is None or action.dest in values or text == "--" or not joined and text.startswith("-"):
+            return None
+        try:
+            values[action.dest] = value = action.type(text) if action.type else text
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+    return argparse.Namespace(**{**defaults, **values}) if required <= values.keys() else None
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _scan(argv) or _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
@@ -225,11 +266,13 @@ def _text(value, csv: bool) -> str:
     as itself; any other value as its JSON text (so a bool is true/false)."""
     if isinstance(value, float):
         value = "Infinite"
-    if csv and isinstance(value, str):
-        return value
+    if isinstance(value, str):
+        return value if csv else encode_basestring_ascii(value)
     if csv and isinstance(value, list):
         return ";".join(value)
-    return "" if csv and value is None else json.dumps(value)
+    if value is None or value is True or value is False:
+        return "" if csv and value is None else {None: "null", True: "true", False: "false"}[value]
+    return int.__repr__(value) if type(value) is int else json.dumps(value)
 
 
 def _emit(args, report: dict, table: dict, key=None) -> str:
@@ -279,30 +322,37 @@ def _rows(columns: list, pieces: list, sep: str, digits, csv: bool) -> str:
     return str(text.data[:end - len(sep)], "ascii")  # no sep after the last row
 
 
-def _json(chunks: list, value, digits, pad, key=None) -> list:
-    """Append value to chunks as json.dumps(value, indent=2) lays it out
-    from indent pad, and return chunks: scalars and empty lists or dicts by
-    _cells, the columns at value[key] as the list of their rows by _rows.
-    One final join copies the text once (a sweep is megabytes)."""
+def _json(chunks: list, value, digits, pad, key=None, slots=None) -> list:
+    """Append value to chunks as json.dumps(value, indent=2) lays it out from indent pad, and
+    return chunks: the columns at value[key] as the list of their rows by _rows, each scalar or
+    empty list or dict into a slot that the outermost call fills from one _cells call. One final
+    join copies the text once (a sweep is megabytes)."""
+    if slots is None:
+        slots = []
+        _json(chunks, value, digits, pad, key, slots)
+        for slot, text in zip(slots, _cells([chunks[slot] for slot in slots], digits, False)):
+            chunks[slot] = text
+        return chunks
     inner = pad + "  "
     if isinstance(value, list) and value:
         for i, item in enumerate(value):
             chunks.append(("," if i else "[") + inner)
-            _json(chunks, item, digits, inner)
+            _json(chunks, item, digits, inner, slots=slots)
         chunks.append(pad + "]")
     elif isinstance(value, dict) and value:
         for i, (name, item) in enumerate(value.items()):
-            chunks.append(("," if i else "{") + inner + json.dumps(name) + ": ")
+            chunks.append(("," if i else "{") + inner + encode_basestring_ascii(name) + ": ")
             if name != key:
-                _json(chunks, item, digits, inner)
+                _json(chunks, item, digits, inner, slots=slots)
                 continue
-            heads = [f"{inner}    {json.dumps(column)}: " for column in item]
+            heads = [f"{inner}    {encode_basestring_ascii(column)}: " for column in item]
             pieces = ["{" + heads[0], *["," + head for head in heads[1:]], inner + "  }"]
             rows = _rows(list(item.values()), pieces, "," + inner + "  ", digits, False)
             chunks += ["[", inner + "  ", rows, inner + "]"]
         chunks.append(pad + "}")
     else:
-        chunks += _cells([value], digits, False)
+        slots.append(len(chunks))
+        chunks.append(value)
     return chunks
 
 

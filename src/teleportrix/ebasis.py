@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexfmt import finite_complex, finite_rows, squared_moduli, squared_modulus, weight
-from .errors import ParseError
+from .errors import BadInput, ParseError
 from .qcore import PureState, shannon_entropy
 
 BASIS_LABELS = ("PhiPlus", "PhiMinus", "PsiPlus", "PsiMinus")
@@ -84,10 +84,20 @@ def basis_stack(ell, p) -> np.ndarray:
     return vecs
 
 
+def _basis_params(params) -> BasisParams:
+    """params as BasisParams: BadInput unless they are BasisParams or an (l, p) pair."""
+    if isinstance(params, BasisParams):
+        return params
+    try:
+        ell, p = params
+    except (TypeError, ValueError):
+        raise BadInput(f"basis parameters must be an (l, p) pair, got {params!r}") from None
+    return BasisParams(ell, p)
+
+
 def general_basis(params: BasisParams) -> EntangledBasis:
     """Construct the basis for given (l, p); its vectors are on qubits ("0", "1")."""
-    if not isinstance(params, BasisParams):
-        params = BasisParams(*params)
+    params = _basis_params(params)
     rows = basis_stack([params.ell], [params.p])[0]
     return EntangledBasis(params, {k: PureState(("0", "1"), v) for k, v in zip(BASIS_LABELS, rows)})
 
@@ -119,8 +129,7 @@ def expand_computational(bits: str, params: BasisParams) -> tuple:
     vector); the pair is (PhiPlus, PhiMinus) for "00"/"11" and
     (PsiPlus, PsiMinus) for "01"/"10".
     """
-    if not isinstance(params, BasisParams):
-        params = BasisParams(*params)
+    params = _basis_params(params)
     try:
         which, rule = _EXPANSIONS[bits]
     except KeyError:

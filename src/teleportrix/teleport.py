@@ -333,15 +333,22 @@ def check_completeness(matrices) -> None:
         _check_gram_total(*qcore.gram(matrices))
 
 
+def _matrix(tm: TransferMatrix) -> np.ndarray:
+    """tm's matrix: BadInput naming the type of anything but a TransferMatrix."""
+    if not isinstance(tm, TransferMatrix):
+        raise BadInput(f"a transfer matrix must be a TransferMatrix, got {type(tm).__name__}")
+    return tm.matrix
+
+
 def is_faithful(tm: TransferMatrix) -> bool:
     """True iff M^dag M = c I for some c > 0 (relative tolerance TOL_EQ)."""
-    diagonals, off = qcore.gram(tm.matrix)
+    diagonals, off = qcore.gram(_matrix(tm))
     return bool(_faithful(diagonals, _half_traces(diagonals), off))
 
 
 def branch_probability(tm: TransferMatrix) -> float:
     """Input-independent probability of a faithful branch (tr M^dag M / 2)."""
-    return float(_half_traces(qcore.gram(tm.matrix)[0]))
+    return float(_half_traces(qcore.gram(_matrix(tm))[0]))
 
 
 def _corrections(mats) -> np.ndarray:
@@ -381,9 +388,10 @@ def _corrections(mats) -> np.ndarray:
 
 def correction_unitary(tm: TransferMatrix) -> np.ndarray:
     """The polar correction of one transfer matrix; SingularMatrix if it is zero."""
-    if not np.max(np.abs(tm.matrix)) > 0.0:
+    matrix = _matrix(tm)
+    if not np.max(np.abs(matrix)) > 0.0:
         raise SingularMatrix("transfer matrix is numerically zero")
-    return _corrections(tm.matrix)
+    return _corrections(matrix)
 
 
 def protocol_branches(params: ProtocolParams) -> BranchStack:
