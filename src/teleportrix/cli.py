@@ -150,7 +150,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"teleportrix: a parameter is too large, numeric overflow: {exc}", file=sys.stderr)
         return 2
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(text)
         return 0
     try:

@@ -35,17 +35,6 @@ def regime_name(k: int, none: str) -> str:
     return "Deterministic" if k == 4 else none if k == 0 else f"Probabilistic(k={k})"
 
 
-# Coefficients of each computational basis vector on its parity pair:
-# |00> = L (PhiPlus + l PhiMinus)      |01> = P (PsiPlus + p PsiMinus)
-# |11> = L (l* PhiPlus - PhiMinus)     |10> = P (p* PsiPlus - PsiMinus)
-_EXPANSIONS = {
-    "00": ("ell", lambda c, w: (w, w * c)),
-    "11": ("ell", lambda c, w: (w * c.conjugate(), -w)),
-    "01": ("p", lambda c, w: (w, w * c)),
-    "10": ("p", lambda c, w: (w * c.conjugate(), -w)),
-}
-
-
 @dataclass(frozen=True)
 class BasisParams:
     """Parameters (l, p) of one entangled basis; finite complex numbers."""
@@ -127,12 +116,11 @@ def expand_computational(bits: str, params: BasisParams) -> tuple:
 
     Returns (coefficient on the plus vector, coefficient on the minus
     vector); the pair is (PhiPlus, PhiMinus) for "00"/"11" and
-    (PsiPlus, PsiMinus) for "01"/"10".
+    (PsiPlus, PsiMinus) for "01"/"10". They are read off basis_stack:
+    the basis is unitary, so |bits> = sum_k conj(B_k[bits]) |k>.
     """
     params = _basis_params(params)
-    try:
-        which, rule = _EXPANSIONS[bits]
-    except KeyError:
-        raise ParseError(f"computational label must be 00/01/10/11, got {bits!r}") from None
-    c = params.ell if which == "ell" else params.p
-    return rule(c, weight(c, which))
+    if not (isinstance(bits, str) and bits in ("00", "01", "10", "11")):
+        raise ParseError(f"computational label must be 00/01/10/11, got {bits!r}")
+    first = 0 if bits in ("00", "11") else 2
+    return tuple(basis_stack([params.ell], [params.p])[0, first:first + 2, int(bits, 2)].conj().tolist())

@@ -13,7 +13,6 @@ never by comparing amplitudes componentwise.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,7 +29,6 @@ from .errors import (
 from .tolerances import TOL_NORM
 
 PAULI_I = np.eye(2, dtype=complex)
-_E0 = PAULI_I[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +106,8 @@ class SchmidtForm:
     """Two-qubit state as coeffs[0]*|u0>|v0> + coeffs[1]*|u1>|v1>.
 
     coeffs are non-negative and descending; basis_a[:, i] and
-    basis_b[:, i] are the local kets |ui>, |vi>, each matrix unitary.
+    basis_b[:, i] are the local kets |ui>, |vi>, each matrix unitary
+    within TOL_NORM and kept as a read-only complex copy.
     """
 
     coeffs: tuple
@@ -124,6 +123,15 @@ class SchmidtForm:
         if abs(c[0] ** 2 + c[1] ** 2 - 1.0) > TOL_NORM:
             raise NormalizationError("Schmidt coefficients must square-sum to 1")
         object.__setattr__(self, "coeffs", tuple(c.tolist()))
+        for name in ("basis_a", "basis_b"):
+            basis = finite_array(getattr(self, name), complex, "Schmidt basis entries", ShapeError,
+                                 NormalizationError).copy()
+            if basis.shape != (2, 2):
+                raise ShapeError(f"a Schmidt basis must be 2x2, got shape {basis.shape}")
+            if np.max(np.abs(basis.conj().T @ basis - PAULI_I)) > TOL_NORM:
+                raise NormalizationError("a Schmidt basis must be unitary")
+            basis.setflags(write=False)
+            object.__setattr__(self, name, basis)
 
     def reconstruct(self) -> np.ndarray:
         """Four amplitudes of the state this decomposition encodes."""
@@ -169,45 +177,10 @@ def reduced_density(s: PureState, keep: Sequence) -> DensityMatrix:
 
 
 def _svd2(a: np.ndarray):
-    """Closed-form singular value decomposition of a (..., 2, 2) complex stack.
-
-    Returns (u, s, v) with a = u @ diag(s[..., 0], s[..., 1]) @ v^dag,
-    s[..., 0] >= s[..., 1] >= 0 and u, v unitary. a is divided by its
-    largest real or imaginary part, so g = a^dag a cannot overflow. v1 is
-    the top eigenvector of g, off the row of g - lam1 that does not cancel
-    (lam1 = (g00 + g11) / 2 + hypot((g00 - g11) / 2, |g01|)); s1 = |a v1|,
-    u1 = a v1 / s1; u2 is u1's orthogonal turned to the phase of its overlap
-    with a v2, s2 that overlap's modulus (capped at s1 against rounding).
-    Products are cmul's and complex / real divides the parts, so no BLAS
-    kernel or SIMD dispatch sets the bits; each branch is an np.where, so a
-    matrix gives the same bits whatever the stack.
-    """
-    a = np.asarray(a, dtype=complex)
-    scale = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=(-2, -1))
-    scale = np.where(scale > 0.0, scale, 1.0)[..., None, None]
-    a = from_parts(a.real / scale, a.imag / scale)
-    (g00, g11), g01 = gram(a)
-    half = 0.5 * (g00 - g11)
-    r = np.hypot(half, np.hypot(g01.real, g01.imag))
-    c = np.where((half <= 0.0)[..., None], np.stack([g01, r - half], -1), np.stack([r + half, g01.conj()], -1))
-    nv = np.hypot(np.hypot(c[..., 0].real, c[..., 0].imag), np.hypot(c[..., 1].real, c[..., 1].imag))[..., None]
-    # Branches not taken are computed too: 0 / 0 where nv, s1 or s2 is 0. Below
-    # the smallest normal nv, g is a multiple of I (any v1 serves), and below
-    # the smallest normal s2 any phase does.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v1 = np.where(nv >= sys.float_info.min, from_parts(c.real / nv, c.imag / nv), _E0)
-        u1 = _matvec(a, v1)
-        squares = u1.real * u1.real + u1.imag * u1.imag
-        s1 = np.sqrt(squares[..., 0] + squares[..., 1])[..., None]
-        u1 = np.where(s1 > 0.0, from_parts(u1.real / s1, u1.imag / s1), _E0)
-        v2, perp = (np.stack([-x[..., 1].conj(), x[..., 0].conj()], axis=-1) for x in (v1, u1))
-        image = _matvec(a, v2)
-        overlap = cmul(perp[..., 0].conj(), image[..., 0]) + cmul(perp[..., 1].conj(), image[..., 1])
-        s2 = np.hypot(overlap.real, overlap.imag)[..., None]
-        turned = cmul(overlap[..., None], perp)
-        u2 = np.where(s2 >= sys.float_info.min, from_parts(turned.real / s2, turned.imag / s2), perp)
-    s = scale[..., 0] * np.concatenate([s1, np.minimum(s2, s1)], axis=-1)
-    return np.stack([u1, u2], axis=-1), s, np.stack([v1, v2], axis=-1)
+    """LAPACK's SVD of a (..., 2, 2) complex stack as (u, s, v): a = u @ diag(s[..., 0], s[..., 1]) @ v^dag,
+    s[..., 0] >= s[..., 1] >= 0 and u, v unitary. Its bits depend on the BLAS kernel; no CLI number uses it."""
+    u, s, vh = np.linalg.svd(np.asarray(a, dtype=complex))
+    return u, s, vh.conj().swapaxes(-1, -2)
 
 
 def gram(mats: np.ndarray) -> tuple:
@@ -231,11 +204,6 @@ def from_parts(re, im) -> np.ndarray:
     out = np.empty(np.shape(re), dtype=complex)
     out.real, out.imag = re, im
     return out
-
-
-def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """mats (..., 2, 2) times vecs (..., 2) by cmul, the two terms summed in column order."""
-    return cmul(mats[..., 0], vecs[..., None, 0]) + cmul(mats[..., 1], vecs[..., None, 1])
 
 
 def schmidt(s: PureState) -> SchmidtForm:

@@ -1,24 +1,26 @@
 """The arrays behind every number the CLI reports give the same bits under
 every BLAS kernel and SIMD dispatch, and so does the stdout of every golden
-argv: branch_stack, the polar corrections, the Grams, the closed-form SVD,
-swap_stack, the sweep's column text, the Haar inputs and evaluate_inputs.
+argv: branch_stack, the polar corrections, the Grams, swap_stack, the
+sweep's column text, the Haar inputs and evaluate_inputs.
 
 numpy's bundled OpenBLAS picks its kernel from the CPU at run time
 (OPENBLAS_CORETYPE overrides the pick), and numpy's own loops dispatch on
 the CPU's SIMD features (NPY_DISABLE_CPU_FEATURES turns some off). One
 child interpreter per setting prints one hash per part: the probabilities
 and faithful flags of branch_stack over complex log-uniform tuples, the
-corrections of their matrices, qcore.gram and qcore._svd2 of those
-matrices and of Gaussian and rank-one matrices at log-uniform scales,
-every field of swap_stack over log-uniform tuples and two-outcome choices,
-cli._column of float64 columns at 6, 12 and 17 digits (exact decimal
+corrections of their matrices, qcore.gram of those matrices and of
+Gaussian and rank-one matrices at log-uniform scales, every field of
+swap_stack over log-uniform tuples and two-outcome choices, cli._column
+of float64 columns at 6, 12 and 17 digits (exact decimal
 ties, their neighbours and negative values among them), haar_inputs, the
 probabilities and fidelities that evaluate_inputs gives for Haar inputs at
 every tuple, and the stdout of every teleport, swap, classify and sweep
 argv of the golden digests. Every setting must print the same lines. The
 column text comes from exactly rounded elementwise operations only, so no
 dispatch may change it.
-The kernels and features named are x86-64 ones.
+The kernels and features named are x86-64 ones. Library results that no
+command reports (qcore.fidelity, entropy, schmidt and measure.project_all)
+use numpy's BLAS and LAPACK routines, and their bits may differ by kernel.
 """
 
 import json
@@ -67,7 +69,6 @@ for i in range(1000):
 mats = np.concatenate([np.array(mats), stack.matrices.reshape(-1, 2, 2)])
 diagonal, off = qcore.gram(mats)
 line("gram", hashlib.sha256(np.ascontiguousarray(diagonal).tobytes() + off.tobytes()))
-line("svd2", hashlib.sha256(b"".join(part.tobytes() for part in qcore._svd2(mats))))
 # six log-uniform parameters, or a two-outcome choice for every other tuple
 swaps = [[draw() for _ in range(6)] for _ in range(2000)]
 swaps = [list(vars(swap.two_outcome_choice(m, n)).values()) if i % 2 else [m, n, *rest]

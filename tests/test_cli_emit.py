@@ -431,9 +431,9 @@ def test_column_pass_equals_rounded_repr_of_each_value(monkeypatch):
 
 # --- clean exits -----------------------------------------------------------
 
-@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+@pytest.mark.parametrize("target", ["missing_directory", "directory", ""])
 def test_unwritable_out_exits_2_with_one_line(tmp_path, target):
-    path = tmp_path / "missing" / "report.json" if target == "missing_directory" else tmp_path
+    path = {"missing_directory": tmp_path / "missing" / "report.json", "directory": tmp_path, "": ""}[target]
     proc = _run_cli(CLASSIFY + ["--out", str(path)])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

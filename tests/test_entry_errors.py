@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from teleportrix import ebasis, measure, qcore, teleport
-from teleportrix.errors import BadInput, ShapeError
+from teleportrix.errors import BadInput, ParseError, ShapeError
 
 I2 = np.eye(2)
 NESTED = [[1.0, 0.0], [0.0, 1.0]]
@@ -20,6 +20,8 @@ CASES = [
     ("general_basis number", lambda: ebasis.general_basis(5), BadInput, "^basis parameters .* got 5$"),
     ("expand_computational one value", lambda: ebasis.expand_computational("00", (1,)),
      BadInput, "^basis parameters .* got \\(1,\\)"),
+    ("expand_computational list label", lambda: ebasis.expand_computational(["0", "0"], (0, 0)),
+     ParseError, "^computational label must be 00/01/10/11, got \\['0', '0'\\]$"),
     ("is_faithful nested list", lambda: teleport.is_faithful(NESTED), BadInput, "TransferMatrix, got list$"),
     ("correction_unitary nested list", lambda: teleport.correction_unitary(NESTED),
      BadInput, "TransferMatrix, got list$"),

@@ -68,6 +68,19 @@ CASES = [
     ("SchmidtForm text", lambda: qcore.SchmidtForm(("a", 0), I2, I2), ShapeError, "^Schmidt coefficients"),
     ("SchmidtForm ragged", lambda: qcore.SchmidtForm(((1.0,), (0.0, 1.0)), I2, I2),
      ShapeError, "^Schmidt coefficients"),
+    ("SchmidtForm basis text", lambda: qcore.SchmidtForm((1, 0), "foo", I2), ShapeError, "^Schmidt basis entries"),
+    # numpy converts None to a complex NaN
+    ("SchmidtForm basis None", lambda: qcore.SchmidtForm((1, 0), I2, None),
+     NormalizationError, "^Schmidt basis entries must be finite$"),
+    ("SchmidtForm basis ragged", lambda: qcore.SchmidtForm((1, 0), [[1], [0, 1]], I2),
+     ShapeError, "^Schmidt basis entries"),
+    ("SchmidtForm basis nan", lambda: qcore.SchmidtForm((1, 0), I2, [[NAN, 0], [0, 1]]),
+     NormalizationError, "^Schmidt basis entries must be finite$"),
+    ("SchmidtForm basis inf", lambda: qcore.SchmidtForm((1, 0), [[1, 0], [0, INF]], I2),
+     NormalizationError, "^Schmidt basis entries must be finite$"),
+    ("SchmidtForm basis vector", lambda: qcore.SchmidtForm((1, 0), [1, 0, 0, 1], I2), ShapeError, "must be 2x2"),
+    ("SchmidtForm basis not unitary", lambda: qcore.SchmidtForm((1, 0), I2, 2 * I2),
+     NormalizationError, "must be unitary$"),
 ]
 
 
@@ -88,9 +101,10 @@ def test_an_array_of_the_dtype_is_not_copied(dtype):
 def test_frozen_types_keep_their_own_read_only_copy():
     amps = np.array([1.0, 0.0], dtype=complex)
     entries = np.diag([1.0, 0.0]).astype(complex)
+    unitary = np.eye(2, dtype=complex)
     held = (qcore.PureState(("a",), amps).amps, qcore.DensityMatrix(entries).entries,
-            teleport.TransferMatrix("PhiPlus", entries).matrix)
-    for own, caller in zip(held, (amps, entries, entries)):
+            teleport.TransferMatrix("PhiPlus", entries).matrix, qcore.SchmidtForm((1, 0), unitary, unitary).basis_b)
+    for own, caller in zip(held, (amps, entries, entries, unitary)):
         assert not np.shares_memory(own, caller)
         assert not own.flags.writeable
-    assert amps.flags.writeable and entries.flags.writeable
+    assert amps.flags.writeable and entries.flags.writeable and unitary.flags.writeable

@@ -183,6 +183,7 @@ class TestOverflowHelper:
         lambda: ebasis.general_basis((1e200, 1)),
         lambda: ebasis.basis_entropy(1e200),
         lambda: ebasis.expand_computational("01", (1, 1e200)),
+        lambda: ebasis.expand_computational("00", (1, 1e200)),
     ])
     def test_library_raises_non_finite(self, call):
         with pytest.raises(NonFinite, match="is too large"):
@@ -193,6 +194,8 @@ class TestOverflowHelper:
             swap.two_outcome_swap_probability(1e100, 1)
         with pytest.raises(NonFinite, match=r"^p = "):
             teleport.branch_stack([1, 1], [1, 1], [1, 1e200])
+        with pytest.raises(NonFinite, match=r"^p = "):
+            ebasis.expand_computational("00", (1, 1e200))
 
     @pytest.mark.parametrize("index", range(4))
     def test_one_faithful_message_names_the_generic_value(self, index):
