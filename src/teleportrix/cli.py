@@ -9,11 +9,11 @@ variable TELEPORTRIX_SEED supplies a default seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -45,93 +45,82 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
-    @cached_property
-    def commands(self) -> dict:
-        """_scan's table, read from the subparsers: command -> (its long options that take one
-        value, by option string; its namespace of defaults; the dests it requires)."""
-        (sub,) = [action for action in self._actions if isinstance(action, argparse._SubParsersAction)]
-        return {name: ({option: a for option, a in parser._option_string_actions.items()
-                        if option.startswith("--") and type(a) is argparse._StoreAction and a.nargs is None},
-                       {sub.dest: name, **{a.dest: a.default for a in parser._actions
-                                           if a.default is not argparse.SUPPRESS}},
-                       {a.dest for a in parser._actions if a.required})
-                for name, parser in sub.choices.items()}
+
+# Each command's help and its options in help order, flag -> add_argument's keywords: build_parser
+# adds them and _scan reads them, so the two share one option set.
+_COMMON = {"--seed": {"type": int}, "--output": {"choices": ("json", "csv"), "default": "json"},
+           "--out": {"help": "write the report to this path"},
+           "--precision": {"type": int, "default": 12, "help": "decimal digits, 6..17"}}
+_REQUIRED = {"required": True}
+_COMMANDS = {
+    "teleport": ("run the teleportation protocol", {
+        "--n": {"required": True, "help": "resource parameter (complex)"},
+        "--l": {"required": True, "help": "basis parameter for the Phi pair"},
+        "--p": {"required": True, "help": "basis parameter for the Psi pair"},
+        "--alpha": {"help": "input amplitude on |0>"},
+        "--beta": {"help": "input amplitude on |1>"},
+        "--random-input": {"type": int, "metavar": "COUNT",
+                           "help": "use COUNT Haar-random inputs instead of --alpha/--beta"},
+        "--mode": {"choices": ("exhaustive", "sampled"), "default": "exhaustive"},
+        "--shots": {"type": int, "default": 10000},
+        **_COMMON}),
+    "swap": ("run entanglement swapping", {f"--{name}": _REQUIRED for name in _SWAP_PARAMS} | _COMMON),
+    "classify": ("classify a teleportation parameter tuple", {f"--{name}": _REQUIRED for name in "nlp"} | _COMMON),
+    "sweep": ("sweep the resource parameter over a grid", {
+        "--n-grid": {"required": True, "metavar": "START:STOP:STEP"},
+        "--regime": {"choices": _PROBABILISTIC_REGIMES, "default": "probabilistic2"},
+        **_COMMON}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="teleportrix", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("teleport", help="run the teleportation protocol")
-    t.add_argument("--n", required=True, help="resource parameter (complex)")
-    t.add_argument("--l", required=True, help="basis parameter for the Phi pair")
-    t.add_argument("--p", required=True, help="basis parameter for the Psi pair")
-    t.add_argument("--alpha", help="input amplitude on |0>")
-    t.add_argument("--beta", help="input amplitude on |1>")
-    t.add_argument("--random-input", type=int, metavar="COUNT",
-                   help="use COUNT Haar-random inputs instead of --alpha/--beta")
-    t.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    t.add_argument("--shots", type=int, default=10000)
-    _add_common(t)
-
-    s = sub.add_parser("swap", help="run entanglement swapping")
-    for name in _SWAP_PARAMS:
-        s.add_argument(f"--{name}", required=True)
-    _add_common(s)
-
-    c = sub.add_parser("classify", help="classify a teleportation parameter tuple")
-    c.add_argument("--n", required=True)
-    c.add_argument("--l", required=True)
-    c.add_argument("--p", required=True)
-    _add_common(c)
-
-    w = sub.add_parser("sweep", help="sweep the resource parameter over a grid")
-    w.add_argument("--n-grid", required=True, metavar="START:STOP:STEP")
-    w.add_argument("--regime", choices=_PROBABILISTIC_REGIMES, default="probabilistic2")
-    _add_common(w)
+    for command, (text, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for flag, keywords in options.items():
+            sp.add_argument(flag, **keywords)
     return parser
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--output", choices=("json", "csv"), default="json")
-    sp.add_argument("--out", default=None, help="write the report to this path")
-    sp.add_argument("--precision", type=int, default=12, help="decimal digits, 6..17")
-
-
-_PARSER = None
-
-
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The process's parser, built on first use; parse_args leaves it unchanged."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    return _PARSER
+    return build_parser()
+
+
+@functools.cache
+def _options(command: str) -> tuple:
+    """_scan's view of a command's table: flag -> (dest, type, choices); the namespace of defaults
+    parse_args starts from; the dests it requires."""
+    options = _COMMANDS[command][1]
+    dests = {flag: flag[2:].replace("-", "_") for flag in options}
+    return ({flag: (dests[flag], keywords.get("type"), keywords.get("choices")) for flag, keywords in options.items()},
+            {"command": command, **{dests[flag]: keywords.get("default") for flag, keywords in options.items()}},
+            {dests[flag] for flag, keywords in options.items() if keywords.get("required")})
 
 
 def _scan(argv: list):
     """_parser().parse_args(argv) for a command then its own long options, each once, as --name=value
     or --name value (a value not starting with "-"), no value "--" (argparse 3.10-3.12 strip it), each
     value of its type and choices; None for any other argv, left to argparse and its usage errors."""
-    commands = _parser().commands
-    if not (argv and all(isinstance(token, str) for token in argv) and argv[0] in commands):
+    if not (argv and all(isinstance(token, str) for token in argv) and argv[0] in _COMMANDS):
         return None
-    options, defaults, required = commands[argv[0]]
+    options, defaults, required = _options(argv[0])
     values = {}
     tokens = iter(argv[1:])
     for token in tokens:
         name, joined, text = token.partition("=")
-        action = options.get(name)
+        dest, kind, choices = options.get(name, (None, None, None))
         if not joined:
             text = next(tokens, "-")
-        if action is None or action.dest in values or text == "--" or not joined and text.startswith("-"):
+        if dest is None or dest in values or text == "--" or not joined and text.startswith("-"):
             return None
         try:
-            values[action.dest] = value = action.type(text) if action.type else text
+            values[dest] = value = kind(text) if kind else text
         except (TypeError, ValueError, argparse.ArgumentTypeError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
     return argparse.Namespace(**{**defaults, **values}) if required <= values.keys() else None
 
@@ -281,7 +270,10 @@ def _emit(args, report: dict, table: dict, key=None) -> str:
     if args.output == "csv":
         pieces = ["", *[","] * (len(table) - 1), "\n"]
         return ",".join(table) + "\n" + _rows(list(table.values()), pieces, "", digits, True)
-    return "".join(_json([], report, digits, "\n", key) + ["\n"])
+    chunks = _json([], slots := [], report, digits, "\n", key)
+    for slot, text in zip(slots, _cells([chunks[slot] for slot in slots], digits, False)):
+        chunks[slot] = text
+    return "".join(chunks + ["\n"])
 
 
 def _rows(columns: list, pieces: list, sep: str, digits, csv: bool) -> str:
@@ -322,28 +314,22 @@ def _rows(columns: list, pieces: list, sep: str, digits, csv: bool) -> str:
     return str(text.data[:end - len(sep)], "ascii")  # no sep after the last row
 
 
-def _json(chunks: list, value, digits, pad, key=None, slots=None) -> list:
+def _json(chunks: list, slots: list, value, digits, pad, key=None) -> list:
     """Append value to chunks as json.dumps(value, indent=2) lays it out from indent pad, and
     return chunks: the columns at value[key] as the list of their rows by _rows, each scalar or
-    empty list or dict into a slot that the outermost call fills from one _cells call. One final
-    join copies the text once (a sweep is megabytes)."""
-    if slots is None:
-        slots = []
-        _json(chunks, value, digits, pad, key, slots)
-        for slot, text in zip(slots, _cells([chunks[slot] for slot in slots], digits, False)):
-            chunks[slot] = text
-        return chunks
+    empty list or dict as itself, its index appended to slots for the caller to replace with its
+    text. One final join copies the text once (a sweep is megabytes)."""
     inner = pad + "  "
     if isinstance(value, list) and value:
         for i, item in enumerate(value):
             chunks.append(("," if i else "[") + inner)
-            _json(chunks, item, digits, inner, slots=slots)
+            _json(chunks, slots, item, digits, inner)
         chunks.append(pad + "]")
     elif isinstance(value, dict) and value:
         for i, (name, item) in enumerate(value.items()):
             chunks.append(("," if i else "{") + inner + encode_basestring_ascii(name) + ": ")
             if name != key:
-                _json(chunks, item, digits, inner, slots=slots)
+                _json(chunks, slots, item, digits, inner)
                 continue
             heads = [f"{inner}    {encode_basestring_ascii(column)}: " for column in item]
             pieces = ["{" + heads[0], *["," + head for head in heads[1:]], inner + "  }"]
@@ -370,8 +356,7 @@ def _analytic_block(n: complex) -> dict:
 
 
 def _cmd_teleport(args):
-    values = _parse_params(args, ("n", "l", "p"))
-    params = teleport.ProtocolParams(*values.values())
+    params, param_block = _params(args, teleport.ProtocolParams, ("n", "l", "p"))
     sampled = args.mode == "sampled"
     random_count = args.random_input
     if random_count is not None and not 1 <= random_count <= MAX_INPUTS:
@@ -411,7 +396,7 @@ def _cmd_teleport(args):
 
     report = {
         "command": "teleport",
-        "params": _param_block(values, args.precision),
+        "params": param_block,
         "input": input_desc,
         "mode": args.mode,
         "seed": seed,
@@ -443,18 +428,14 @@ def _sample_outcomes(probabilities, shots, rng, report):
     }
 
 
-def _parse_params(args, names) -> dict:
-    """The complex parameters of a command by name, each parsed once, in order."""
-    return {name: parse_complex(getattr(args, name.replace("-", "_"))) for name in names}
-
-
-def _param_block(values: dict, digits: int) -> dict:
-    return {name: format_complex(z, digits) for name, z in values.items()}
+def _params(args, record, names) -> tuple:
+    """The record of a command's complex options, each parsed once, and the report's params block."""
+    values = [parse_complex(getattr(args, name.replace("-", "_"))) for name in names]
+    return record(*values), {name: format_complex(z, args.precision) for name, z in zip(names, values)}
 
 
 def _cmd_swap(args):
-    values = _parse_params(args, _SWAP_PARAMS)
-    params = swap_mod.SwapParams(*values.values())
+    params, param_block = _params(args, swap_mod.SwapParams, _SWAP_PARAMS)
     outcomes = swap_mod.swap_run(params)
     regime = swap_mod.classify_swap_outcomes(params, outcomes)
     table = {
@@ -466,7 +447,7 @@ def _cmd_swap(args):
     }
     report = {
         "command": "swap",
-        "params": _param_block(values, args.precision),
+        "params": param_block,
         "seed": None,
         "regime": regime.regime,
         "outcomes": table,
@@ -483,8 +464,7 @@ def _cmd_swap(args):
 
 
 def _cmd_classify(args):
-    values = _parse_params(args, ("n", "l", "p"))
-    params = teleport.ProtocolParams(*values.values())
+    params, param_block = _params(args, teleport.ProtocolParams, ("n", "l", "p"))
     regime = teleport.classify(params)
     row = {
         "regime": regime.regime,
@@ -494,7 +474,7 @@ def _cmd_classify(args):
     }
     report = {
         "command": "classify",
-        "params": _param_block(values, args.precision),
+        "params": param_block,
         "seed": None,
         **row,
         "analytic": _analytic_block(params.n),

@@ -62,14 +62,18 @@ def finite_complex(value, name: str) -> complex:
 
 def finite_array(value, dtype, what: str, error: type, nonfinite: type) -> np.ndarray:
     """np.asarray(value, dtype), so an array of dtype is not copied: error naming `what` for ragged
-    or non-numeric data or complex data where dtype is real, nonfinite for a NaN or infinite entry."""
+    or non-numeric data (None too) or complex data where dtype is real, nonfinite for a NaN or
+    infinite entry."""
     try:
         if np.dtype(dtype).kind != "c" and np.iscomplexobj(value):  # asarray would drop the imaginary part
             raise error(f"{what} must be real, got complex values")
         array = np.asarray(value, dtype=dtype)
+        finite = np.isfinite(array).all()
+        if not finite and np.equal(np.asarray(value, dtype=object), None).any():  # asarray reads None as NaN
+            raise TypeError
     except (TypeError, ValueError):
         raise error(f"{what} must be numbers in an array of one shape") from None
-    if not np.isfinite(array).all():
+    if not finite:
         raise nonfinite(f"{what} must be finite")
     return array
 

@@ -143,7 +143,8 @@ class SchmidtForm:
 
 def make_state(labels: Sequence, amps: Iterable) -> PureState:
     """Build a normalized state; rejects zero vectors and bad shapes (PureState's check)."""
-    arr = finite_array(list(amps), complex, "amplitudes", ShapeError, NormalizationError)
+    arr = finite_array(list(amps) if isinstance(amps, Iterable) else amps, complex, "amplitudes", ShapeError,
+                       NormalizationError)
     norm_sq = float(np.vdot(arr, arr).real)
     if norm_sq < 1e-12:
         raise NormalizationError("cannot normalize a (near-)zero vector")

@@ -525,6 +525,8 @@ def one_faithful_labels(index: int) -> str:
 def _parsed_input(input_amps) -> tuple:
     try:
         return tuple(finite_complex(a, "input amplitude") for a in input_amps)
+    except TypeError:  # not iterable
+        raise BadInput(f"input must be an (alpha, beta) pair, got {type(input_amps).__name__}") from None
     except NonFinite as exc:
         raise BadInput(str(exc)) from None
 

@@ -69,7 +69,7 @@ def test_repeated_main_calls_build_the_parser_once(monkeypatch):
     calls = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
-    monkeypatch.setattr(cli, "_PARSER", None)
+    cli._parser.cache_clear()
     for argv in GOOD + REJECTED + GOOD:
         _run(argv)
     assert len(calls) == 1
@@ -82,10 +82,10 @@ def test_build_parser_returns_a_fresh_parser():
 @pytest.mark.parametrize("bad", REJECTED, ids=range(len(REJECTED)))
 def test_rejected_argv_does_not_change_later_output(monkeypatch, bad):
     monkeypatch.delenv("TELEPORTRIX_SEED", raising=False)
-    monkeypatch.setattr(cli, "_PARSER", None)
+    cli._parser.cache_clear()
     alone = [_run(argv) for argv in GOOD]
     assert all(rc == 0 for rc, _, _ in alone)
-    monkeypatch.setattr(cli, "_PARSER", None)
+    cli._parser.cache_clear()
     rc, out, err = _run(bad)
     assert (rc, out) == (1, "")
     assert "error:" in err
@@ -94,9 +94,9 @@ def test_rejected_argv_does_not_change_later_output(monkeypatch, bad):
 
 def test_failed_request_does_not_change_later_output(monkeypatch):
     monkeypatch.delenv("TELEPORTRIX_SEED", raising=False)
-    monkeypatch.setattr(cli, "_PARSER", None)
+    cli._parser.cache_clear()
     alone = [_run(argv) for argv in GOOD]
-    monkeypatch.setattr(cli, "_PARSER", None)
+    cli._parser.cache_clear()
     assert _run(["classify", "--n", "nan", "--l", "1", "--p", "1"])[0] == 2
     assert [_run(argv) for argv in GOOD] == alone
 

@@ -1,7 +1,8 @@
-"""cli._scan, the command line's common case read from argparse's own
-option table: wherever it returns a Namespace, build_parser().parse_args
-returns an equal one, and every README example and every command in both
-option forms goes through it, with argparse's parse_args never called.
+"""cli._scan, the command line's common case read from cli._COMMANDS, the
+option table build_parser builds argparse's parser from: wherever it
+returns a Namespace, build_parser().parse_args returns an equal one, and
+every README example and every command in both option forms goes through
+it, with argparse's parse_args never called.
 
 This file and the test modules it imports need only the package, numpy,
 pytest and hypothesis, so it runs under every Python release that
@@ -134,11 +135,17 @@ def test_main_reads_sys_argv_and_any_iterable(monkeypatch):
 
 
 def test_an_option_added_to_the_parser_reaches_the_scan():
-    parser = cli.build_parser()
-    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
-    sub.choices["classify"].add_argument("--trials", type=int, default=5, choices=range(10))
+    text, options = cli._COMMANDS["classify"]
+    trials = {"--trials": {"type": int, "default": 5, "choices": range(10)}}
     argv = ["classify", "--n", "1", "--l", "1", "--p", "1"]
-    with mock.patch.object(cli, "_PARSER", parser):
-        assert cli._scan(argv).trials == 5
-        assert cli._scan(argv + ["--trials=7"]).trials == 7
-        assert cli._scan(argv + ["--trials", "12"]) is None
+    cli._options.cache_clear()
+    try:
+        with mock.patch.dict(cli._COMMANDS, classify=(text, options | trials)):
+            parser = cli.build_parser()
+            for extra, value in ([], 5), (["--trials=7"], 7):
+                assert cli._scan(argv + extra).trials == parser.parse_args(argv + extra).trials == value
+            assert cli._scan(argv + ["--trials", "12"]) is None
+            with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+                parser.parse_args(argv + ["--trials", "12"])
+    finally:
+        cli._options.cache_clear()

@@ -1,7 +1,8 @@
 """Library entry points given the wrong kind of data: each row of CASES is
 a call that once leaked Python's TypeError or AttributeError, or numpy's
-ComplexWarning (the imaginary part dropped where a real number is meant);
-it must raise the named TeleportrixError and no warning.
+ComplexWarning (the imaginary part dropped where a real number is meant),
+or a value a constructor or function refuses; it must raise the named
+TeleportrixError with its message and no warning.
 """
 
 import warnings
@@ -9,11 +10,12 @@ import warnings
 import numpy as np
 import pytest
 
-from teleportrix import ebasis, measure, qcore, teleport
-from teleportrix.errors import BadInput, ParseError, ShapeError
+from teleportrix import ebasis, measure, qcore, swap, teleport
+from teleportrix.errors import BadInput, BadSubset, NonFinite, NormalizationError, ParseError, ShapeError
 
 I2 = np.eye(2)
 NESTED = [[1.0, 0.0], [0.0, 1.0]]
+PARAMS = teleport.ProtocolParams(0.5, 0.5, 2)
 
 CASES = [
     ("general_basis one value", lambda: ebasis.general_basis((1,)), BadInput, "^basis parameters .* got \\(1,\\)"),
@@ -32,6 +34,35 @@ CASES = [
      BadInput, "^probabilities must be real"),
     ("SchmidtForm complex", lambda: qcore.SchmidtForm(np.array([1 + 2j, 0]), I2, I2),
      ShapeError, "^Schmidt coefficients must be real"),
+    ("run None", lambda: teleport.run(None, PARAMS),
+     BadInput, "^input must be an \\(alpha, beta\\) pair, got NoneType$"),
+    ("run number", lambda: teleport.run(0.6, PARAMS),
+     BadInput, "^input must be an \\(alpha, beta\\) pair, got float$"),
+    ("measured_probabilities None", lambda: teleport.measured_probabilities(None, PARAMS),
+     BadInput, "^input must be an \\(alpha, beta\\) pair, got NoneType$"),
+    ("make_state None", lambda: qcore.make_state(("a",), None), ShapeError, "^amplitudes must be numbers"),
+    ("PureState no labels", lambda: qcore.PureState((), [1]), ShapeError, "^a state needs at least one qubit label$"),
+    ("DensityMatrix not square", lambda: qcore.DensityMatrix([[1, 0]]), ShapeError, "^density matrix must be square$"),
+    ("DensityMatrix dimension 3", lambda: qcore.DensityMatrix(np.eye(3) / 3),
+     ShapeError, "^unsupported density matrix dimension 3$"),
+    ("DensityMatrix negative eigenvalue", lambda: qcore.DensityMatrix(np.diag([1.5, -0.5])),
+     ShapeError, "^density matrix has a negative eigenvalue$"),
+    ("SchmidtForm ascending", lambda: qcore.SchmidtForm((0, 1), I2, I2),
+     ShapeError, "^Schmidt coefficients must be descending and non-negative$"),
+    ("SchmidtForm negative", lambda: qcore.SchmidtForm((1, -0.5), I2, I2),
+     ShapeError, "^Schmidt coefficients must be descending and non-negative$"),
+    ("SchmidtForm square-sum", lambda: qcore.SchmidtForm((0.5, 0.5), I2, I2),
+     NormalizationError, "^Schmidt coefficients must square-sum to 1$"),
+    ("reduced_density duplicate keep", lambda: qcore.reduced_density(qcore.make_state("ab", [1, 0, 0, 0]), "aa"),
+     BadSubset, "^duplicate labels in keep: \\('a', 'a'\\)$"),
+    ("two_outcome_choice m = 0", lambda: swap.two_outcome_choice(0, 1),
+     NonFinite, "^choice needs nonzero pair parameters$"),
+    ("two_outcome_choice n = 0", lambda: swap.two_outcome_choice(1, 0),
+     NonFinite, "^choice needs nonzero pair parameters$"),
+    ("phase_matched_choice n = 0", lambda: swap.phase_matched_choice(1, 0, 1, 1),
+     NonFinite, "^choice needs a nonzero n$"),
+    ("success_probability_analytic k = 3", lambda: teleport.success_probability_analytic(0.5, k=3),
+     BadInput, "^k must be 1 or 2, got 3$"),
 ]
 
 

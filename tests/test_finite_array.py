@@ -31,6 +31,9 @@ def _evaluate(inputs):
 CASES = [
     ("PureState ragged", lambda: qcore.PureState(("a",), [[1], [0, 1]]), ShapeError, "^amplitudes must be numbers"),
     ("PureState text", lambda: qcore.PureState(("a",), ["x", 1]), ShapeError, "^amplitudes must be numbers"),
+    # numpy reads None as a NaN, but None is not a number
+    ("PureState None entry", lambda: qcore.PureState(("a",), [None, 1]), ShapeError, "^amplitudes must be numbers"),
+    ("PureState None", lambda: qcore.PureState(("a",), None), ShapeError, "^amplitudes must be numbers"),
     ("make_state ragged", lambda: qcore.make_state(("a",), [[1], [0, 1]]), ShapeError, "^amplitudes must be numbers"),
     ("make_state text", lambda: qcore.make_state(("a",), ["x", 1]), ShapeError, "^amplitudes must be numbers"),
     ("DensityMatrix ragged", lambda: qcore.DensityMatrix([[1], [0, 1]]), ShapeError, "^density matrix entries"),
@@ -46,6 +49,7 @@ CASES = [
     ("sample_outcomes ragged", lambda: measure.sample_outcomes([[.5, .5], [1, 0, 0, 0]], 3, _rng()),
      BadInput, "^probabilities must be numbers"),
     ("branch_stack dict", lambda: teleport.branch_stack([{}], [1], [1]), BadInput, "^n, ell and p must be numbers"),
+    ("branch_stack None", lambda: teleport.branch_stack([None], [1], [1]), BadInput, "^n, ell and p must be numbers"),
     ("basis_stack dict", lambda: ebasis.basis_stack([{}], [1]), BadInput, "^ell and p must be numbers"),
     ("evaluate_inputs ragged", lambda: _evaluate([[1], [1, 0]]), BadInput, "^input amplitudes must be numbers"),
     ("evaluate_inputs text", lambda: _evaluate([["x", 0]]), BadInput, "^input amplitudes must be numbers"),
@@ -69,9 +73,8 @@ CASES = [
     ("SchmidtForm ragged", lambda: qcore.SchmidtForm(((1.0,), (0.0, 1.0)), I2, I2),
      ShapeError, "^Schmidt coefficients"),
     ("SchmidtForm basis text", lambda: qcore.SchmidtForm((1, 0), "foo", I2), ShapeError, "^Schmidt basis entries"),
-    # numpy converts None to a complex NaN
     ("SchmidtForm basis None", lambda: qcore.SchmidtForm((1, 0), I2, None),
-     NormalizationError, "^Schmidt basis entries must be finite$"),
+     ShapeError, "^Schmidt basis entries must be numbers"),
     ("SchmidtForm basis ragged", lambda: qcore.SchmidtForm((1, 0), [[1], [0, 1]], I2),
      ShapeError, "^Schmidt basis entries"),
     ("SchmidtForm basis nan", lambda: qcore.SchmidtForm((1, 0), I2, [[NAN, 0], [0, 1]]),

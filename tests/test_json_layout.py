@@ -86,6 +86,6 @@ def test_row_template_escapes_percent_in_column_names():
     # the rows are one %-format of the row template, so a % in a column
     # name must come out as itself
     report = {"rows": {"50%": [0.5, 1.0], "%s": ["a", None], "n": [1e-5, math.inf]}}
-    text = "".join(cli._json([], report, 12, "\n", "rows"))
+    text = "".join(cli._json([], [], report, 12, "\n", "rows"))  # no scalar, so no slot to fill
     assert text == json.dumps({"rows": [{"50%": 0.5, "%s": "a", "n": 1e-05},
                                         {"50%": 1.0, "%s": None, "n": "Infinite"}]}, indent=2)
