@@ -54,26 +54,29 @@ def finite_complex(value, name: str) -> complex:
     """A number or complex literal string as a complex value: ParseError otherwise, NonFinite unless finite."""
     if not isinstance(value, (str, numbers.Number)):
         raise ParseError(f"{name} must be a number or a complex literal, got {type(value).__name__}")
-    z = parse_complex(value) if isinstance(value, str) else complex(value)
+    try:
+        z = parse_complex(value) if isinstance(value, str) else complex(value)
+    except OverflowError:  # an int past the float range
+        raise NonFinite(f"{name} must be finite, got a value beyond the float range") from None
     if not cmath.isfinite(z):
         raise NonFinite(f"{name} must be finite, got {z!r}")
     return z
 
 
 def finite_array(value, dtype, what: str, error: type, nonfinite: type) -> np.ndarray:
-    """np.asarray(value, dtype), so an array of dtype is not copied: error naming `what` for ragged
-    or non-numeric data (None too) or complex data where dtype is real, nonfinite for a NaN or
-    infinite entry."""
+    """np.asarray(value) cast to dtype, so an array of dtype is not copied: error naming `what` unless
+    numpy reads bool, integer, float or complex numbers in an array of one shape (not text, None, other
+    objects or ints past 64 bits), or for complex values where dtype is real; nonfinite for NaN or inf."""
     try:
-        if np.dtype(dtype).kind != "c" and np.iscomplexobj(value):  # asarray would drop the imaginary part
-            raise error(f"{what} must be real, got complex values")
-        array = np.asarray(value, dtype=dtype)
-        finite = np.isfinite(array).all()
-        if not finite and np.equal(np.asarray(value, dtype=object), None).any():  # asarray reads None as NaN
-            raise TypeError
-    except (TypeError, ValueError):
+        array = np.asarray(value)
+        if array.dtype.kind not in "biufc":
+            raise ValueError
+    except ValueError:  # ragged (numpy >= 1.24) or not numbers
         raise error(f"{what} must be numbers in an array of one shape") from None
-    if not finite:
+    if array.dtype.kind == "c" and np.dtype(dtype).kind != "c":  # astype would drop the imaginary part
+        raise error(f"{what} must be real, got complex values")
+    array = array.astype(dtype, copy=False)
+    if not np.isfinite(array).all():
         raise nonfinite(f"{what} must be finite")
     return array
 

@@ -187,7 +187,7 @@ class InputBatch:
     (polar) is the root of the Gram diagonal g of branch_stack. probabilities[i, k] = p =
     |alpha|^2 g0 + |beta|^2 g1, fidelities[i, k] = min((|alpha|^2 h0 + |beta|^2 h1)^2 / p, 1).
     Built on first read: bob[i, k], Bob's corrected state (alpha h0, beta h1) / sqrt(p), and
-    corrections, the U_k of the M_k (matrices), which only run reads. Below TOL_PROB, bob is
+    corrections, the U_k of the M_k of stack, which only run reads. Below TOL_PROB, bob is
     zero and the fidelity NaN. A faithful branch is kept down to the smallest normal float,
     since its state is exact at any scale; below that the probability has lost bits, and the
     state renormalised by its square root is off unit norm by up to 1e-2. inputs holds the psi.
@@ -197,7 +197,7 @@ class InputBatch:
     fidelities: np.ndarray
     inputs: np.ndarray
     polar: np.ndarray
-    matrices: np.ndarray
+    stack: BranchStack
 
     @cached_property
     def bob(self) -> np.ndarray:
@@ -207,7 +207,7 @@ class InputBatch:
 
     @cached_property
     def corrections(self) -> np.ndarray:
-        return _corrections(self.matrices)
+        return _corrections(self.stack.matrices[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,15 +318,11 @@ def transfer_matrices(params: ProtocolParams) -> tuple:
 def check_completeness(matrices) -> None:
     """Raise CompletenessError unless sum_k M_k^dag M_k = I within TOL_NORM.
 
-    Accepts any iterable of 2x2 matrices, a (K, 2, 2) stack, or a
-    (G, K, 2, 2) stack checked group by group. A non-finite entry fails
-    the check rather than passing it; an empty, ragged or non-numeric
-    input, or one of another shape, raises BadInput.
+    Accepts a sequence or array (see finite_array) of 2x2 matrices, a (K, 2, 2) stack, or a
+    (G, K, 2, 2) stack checked group by group; a non-finite entry fails the check. An empty,
+    ragged or non-numeric input, or one of another shape, raises BadInput.
     """
-    try:
-        matrices = np.asarray(matrices if isinstance(matrices, np.ndarray) else list(matrices), dtype=complex)
-    except (TypeError, ValueError):
-        raise BadInput("check_completeness needs 2x2 matrices of numbers") from None
+    matrices = finite_array(matrices, complex, "transfer matrices", BadInput, CompletenessError)
     if matrices.size == 0 or matrices.ndim < 3 or matrices.shape[-2:] != (2, 2):
         raise BadInput(f"check_completeness needs a nonempty (..., K, 2, 2) stack, got shape {matrices.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or overflowed Gram fails the check below
@@ -531,15 +527,9 @@ def _parsed_input(input_amps) -> tuple:
         raise BadInput(str(exc)) from None
 
 
-def evaluate_inputs(stack: BranchStack, inputs) -> InputBatch:
-    """Probabilities, corrected states and fidelities of a batch of inputs.
-
-    stack is the one-tuple stack of protocol_branches; inputs a (K, 2) array or
-    K (alpha, beta) pairs, each finite with |alpha|^2 + |beta|^2 = 1 within
-    TOL_NORM. Branch k of input i conditions Bob's qubit on M_k psi_i.
-    """
-    if len(stack.probabilities) != 1:
-        raise BadInput(f"evaluate_inputs needs a stack of one parameter tuple, got {len(stack.probabilities)}")
+def _checked_inputs(inputs) -> tuple:
+    """A (K, 2) array or K (alpha, beta) pairs as a complex (K, 2) array and its squared moduli:
+    BadInput unless K > 0 and each pair is finite with |alpha|^2 + |beta|^2 = 1 within TOL_NORM."""
     psi = finite_array(inputs, complex, "input amplitudes", BadInput, BadInput)
     if psi.ndim != 2 or psi.shape[0] == 0 or psi.shape[1] != 2:
         raise BadInput(f"inputs must be a nonempty sequence of (alpha, beta) pairs, got shape {psi.shape}")
@@ -547,13 +537,22 @@ def evaluate_inputs(stack: BranchStack, inputs) -> InputBatch:
         moduli = psi.real * psi.real + psi.imag * psi.imag
     if not (np.abs((moduli[:, 0] + moduli[:, 1]) - 1.0) <= TOL_NORM).all():  # so an overflowed square fails
         raise BadInput("input amplitudes must be finite, with |alpha|^2 + |beta|^2 = 1 within TOL_NORM")
+    return psi, moduli
+
+
+def evaluate_inputs(stack: BranchStack, inputs) -> InputBatch:
+    """Probabilities, corrected states and fidelities of K normalized (alpha, beta) inputs on the one-tuple
+    stack of protocol_branches: branch k of input i conditions Bob's qubit on M_k psi_i."""
+    if len(stack.probabilities) != 1:
+        raise BadInput(f"evaluate_inputs needs a stack of one parameter tuple, got {len(stack.probabilities)}")
+    psi, moduli = _checked_inputs(inputs)
     g = stack.diagonals[:, 0].T  # (4, 2): Gram diagonal j of M_k at [k, j]
     forms = np.array([g, np.sqrt(g)])  # g and h, exact for the monomial M_k
     probs, overlaps = moduli[:, :1] * forms[:, None, :, 0] + moduli[:, 1:] * forms[:, None, :, 1]
     kept = probs >= np.where(stack.faithful[0], sys.float_info.min, TOL_PROB)
     ratio = overlaps / np.sqrt(np.where(kept, probs, np.nan))  # NaN where not kept
     fids = np.minimum(ratio * ratio, 1.0)
-    return InputBatch(probs, fids, psi, forms[1], stack.matrices[0])
+    return InputBatch(probs, fids, psi, forms[1], stack)
 
 
 def haar_inputs(count: int, rng) -> np.ndarray:
@@ -606,6 +605,7 @@ def measured_probabilities(input_amps, params: ProtocolParams) -> dict:
     ||M_k psi||^2 from the transfer matrices. Kept as the independent
     route for verification.
     """
-    state = qcore.tensor(PureState(("a",), np.array(_parsed_input(input_amps))), resource_state(params.n))
+    psi, _ = _checked_inputs([_parsed_input(input_amps)])
+    state = qcore.tensor(PureState(("a",), psi[0]), resource_state(params.n))
     outcomes = measure.project_all(state, ("a", "1"), general_basis((params.ell, params.p)))
     return {o.label: o.probability for o in outcomes}

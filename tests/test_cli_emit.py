@@ -101,6 +101,12 @@ def test_failed_request_does_not_change_later_output(monkeypatch):
     assert [_run(argv) for argv in GOOD] == alone
 
 
+@pytest.mark.parametrize("given", [[], ["--alpha", "1"], ["--beta", "0"]], ids=["neither", "alpha", "beta"])
+def test_teleport_without_an_input_exits_2_with_one_line(given):
+    argv = ["teleport", "--n", "0.5", "--l", "0.5", "--p", "2", *given]
+    assert _run(argv) == (2, "", "teleportrix: provide --alpha and --beta, or --random-input COUNT\n")
+
+
 # --- the sweep emitter against the generic route ---------------------------
 
 _COLUMNS = ("n", "success_probability", "repetitions", "inverse_success")

@@ -1,8 +1,9 @@
 """Library entry points given the wrong kind of data: each row of CASES is
-a call that once leaked Python's TypeError or AttributeError, or numpy's
-ComplexWarning (the imaginary part dropped where a real number is meant),
-or a value a constructor or function refuses; it must raise the named
-TeleportrixError with its message and no warning.
+a call that once leaked Python's TypeError, AttributeError or OverflowError,
+or numpy's ComplexWarning (the imaginary part dropped where a real number is
+meant), or raised another error than its sibling entry point, or a value a
+constructor or function refuses; it must raise the named TeleportrixError
+with its message and no warning.
 """
 
 import warnings
@@ -16,6 +17,8 @@ from teleportrix.errors import BadInput, BadSubset, NonFinite, NormalizationErro
 I2 = np.eye(2)
 NESTED = [[1.0, 0.0], [0.0, 1.0]]
 PARAMS = teleport.ProtocolParams(0.5, 0.5, 2)
+HUGE = 10**400
+BEYOND = "must be finite, got a value beyond the float range$"
 
 CASES = [
     ("general_basis one value", lambda: ebasis.general_basis((1,)), BadInput, "^basis parameters .* got \\(1,\\)"),
@@ -63,6 +66,23 @@ CASES = [
      NonFinite, "^choice needs a nonzero n$"),
     ("success_probability_analytic k = 3", lambda: teleport.success_probability_analytic(0.5, k=3),
      BadInput, "^k must be 1 or 2, got 3$"),
+    # complex() of an int past the float range once leaked OverflowError
+    ("ProtocolParams huge int", lambda: teleport.ProtocolParams(HUGE, 1, 1), NonFinite, f"^n {BEYOND}"),
+    ("SwapParams huge int", lambda: swap.SwapParams(1, HUGE, 1, 1, 1, 1), NonFinite, f"^n {BEYOND}"),
+    ("general_basis huge int", lambda: ebasis.general_basis((HUGE, 1)), NonFinite, f"^ell {BEYOND}"),
+    ("resource_state huge int", lambda: ebasis.resource_state(HUGE), NonFinite, f"^n {BEYOND}"),
+    ("basis_entropy huge int", lambda: ebasis.basis_entropy(HUGE), NonFinite, f"^c {BEYOND}"),
+    ("expected_repetitions huge int", lambda: teleport.expected_repetitions(HUGE), NonFinite, f"^n {BEYOND}"),
+    ("two_outcome_choice huge int", lambda: swap.two_outcome_choice(1, HUGE), NonFinite, f"^n {BEYOND}"),
+    ("one_faithful_choice huge int", lambda: teleport.one_faithful_choice(HUGE, 0), NonFinite, f"^n {BEYOND}"),
+    ("run huge int", lambda: teleport.run((HUGE, 0), PARAMS), BadInput, f"^input amplitude {BEYOND}"),
+    ("measured_probabilities huge int", lambda: teleport.measured_probabilities((HUGE, 0), PARAMS),
+     BadInput, f"^input amplitude {BEYOND}"),
+    # measured_probabilities checks its input as run does
+    ("measured_probabilities three amplitudes", lambda: teleport.measured_probabilities((1, 0, 0), PARAMS),
+     BadInput, "^inputs must be a nonempty sequence of \\(alpha, beta\\) pairs, got shape \\(1, 3\\)$"),
+    ("measured_probabilities unnormalized", lambda: teleport.measured_probabilities((1, 1), PARAMS),
+     BadInput, "^input amplitudes must be finite, with \\|alpha\\|\\^2 \\+ \\|beta\\|\\^2 = 1 within TOL_NORM$"),
 ]
 
 

@@ -12,9 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
-from teleportrix import ebasis, measure, qcore, teleport
+from teleportrix import ebasis, measure, qcore, swap, teleport
 from teleportrix.complexfmt import finite_array
-from teleportrix.errors import BadInput, NonFinite, NormalizationError, ShapeError
+from teleportrix.errors import BadInput, CompletenessError, NonFinite, NormalizationError, ShapeError
 
 NAN, INF = math.nan, math.inf
 I2 = np.eye(2)
@@ -84,6 +84,30 @@ CASES = [
     ("SchmidtForm basis vector", lambda: qcore.SchmidtForm((1, 0), [1, 0, 0, 1], I2), ShapeError, "must be 2x2"),
     ("SchmidtForm basis not unitary", lambda: qcore.SchmidtForm((1, 0), I2, 2 * I2),
      NormalizationError, "must be unitary$"),
+    # numpy's own string parse was a second complex grammar beside parse_complex: text is not a number
+    ("branch_stack complex text", lambda: teleport.branch_stack(["1+2j"], ["0.5"], ["2"]),
+     BadInput, "^n, ell and p must be numbers"),
+    ("branch_stack numeric text", lambda: teleport.branch_stack(["0.5"], ["0.5"], ["2"]),
+     BadInput, "^n, ell and p must be numbers"),
+    ("PureState numeric text", lambda: qcore.PureState(("a",), ["1", "0"]), ShapeError, "^amplitudes must be numbers"),
+    ("make_state string", lambda: qcore.make_state(("a",), "10"), ShapeError, "^amplitudes must be numbers"),
+    ("count_outcomes numeric text", lambda: measure.count_outcomes([["1", "0", "0", "0"]], 10, _rng()),
+     BadInput, "^probabilities must be numbers"),
+    ("evaluate_inputs numeric text", lambda: _evaluate([["1", "0"]]), BadInput, "^input amplitudes must be numbers"),
+    # a Python int past 64 bits is no numpy number: float conversion once leaked OverflowError
+    ("branch_stack huge int", lambda: teleport.branch_stack([10**400], [1], [1]),
+     BadInput, "^n, ell and p must be numbers"),
+    ("swap_stack huge int", lambda: swap.swap_stack([10**400], [1], [1], [1], [1], [1]),
+     BadInput, "^swap parameters must be numbers"),
+    ("PureState huge int", lambda: qcore.PureState(("a",), [10**400, 0]), ShapeError, "^amplitudes must be numbers"),
+    ("check_completeness None entry", lambda: teleport.check_completeness([[[None, 0], [0, 1]]]),
+     BadInput, "^transfer matrices must be numbers"),
+    ("check_completeness text array", lambda: teleport.check_completeness(np.array([[["1", "0"], ["0", "1"]]])),
+     BadInput, "^transfer matrices must be numbers"),
+    ("check_completeness huge int", lambda: teleport.check_completeness([[[10**400, 0], [0, 1]]]),
+     BadInput, "^transfer matrices must be numbers"),
+    ("check_completeness nan", lambda: teleport.check_completeness([[[NAN, 0], [0, 1]]]),
+     CompletenessError, "^transfer matrices must be finite$"),
 ]
 
 
