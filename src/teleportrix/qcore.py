@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -141,10 +141,10 @@ class SchmidtForm:
         return out
 
 
-def make_state(labels: Sequence, amps: Iterable) -> PureState:
-    """Build a normalized state; rejects zero vectors and bad shapes (PureState's check)."""
-    arr = finite_array(list(amps) if isinstance(amps, Iterable) else amps, complex, "amplitudes", ShapeError,
-                       NormalizationError)
+def make_state(labels: Sequence, amps) -> PureState:
+    """Build a normalized state from a sequence or array of amplitudes (see finite_array); rejects
+    zero vectors and bad shapes (PureState's check)."""
+    arr = finite_array(amps, complex, "amplitudes", ShapeError, NormalizationError)
     norm_sq = float(np.vdot(arr, arr).real)
     if norm_sq < 1e-12:
         raise NormalizationError("cannot normalize a (near-)zero vector")

@@ -36,7 +36,7 @@ over the resource parameter go through two_faithful_stack / one_faithful_stack,
 whose batch of one is two_faithful_choice / one_faithful_choice.
 evaluate_inputs evaluates a whole (K, 2) batch of inputs as quadratic
 forms of the one-tuple stack's Gram diagonals (see InputBatch); only
-run reads the closed-form polar corrections (_corrections). Shots
+run's records build the polar corrections (_corrections) on first read. Shots
 against the batch follow measure's sampling rule (shot s of input s mod
 K, one multinomial draw of each input's counts): sample_outcomes gives
 the outcome index of every shot, count_outcomes only the four counts, in
@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -115,21 +116,29 @@ class TransferMatrix:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeRecord:
-    """One measurement branch of a protocol run.
+    """Branch `index` of a protocol run, whose InputBatch of one input is `batch`.
 
-    bob_state is the conditioned state after the correction unitary; it
-    is None when the branch probability falls below TOL_PROB, or is 0
-    on a faithful branch (then fidelity is None as well). faithful is a
-    property of the transfer matrix, not of the particular input, so
+    correction (the polar correction unitary, batch.corrections[index]) and bob_state (the
+    conditioned state after it) are built on first read. bob_state is None when the branch
+    probability falls below TOL_PROB, or is 0 on a faithful branch (then fidelity is None as
+    well). faithful is a property of the transfer matrix, not of the particular input, so
     fidelity can be 1 for a lucky input even on an unfaithful branch.
     """
 
     label: str
     probability: float
     faithful: bool
-    correction: np.ndarray
-    bob_state: PureState | None
     fidelity: float | None
+    batch: InputBatch = field(repr=False)
+    index: int = field(repr=False)
+
+    @cached_property
+    def correction(self) -> np.ndarray:
+        return self.batch.corrections[self.index]
+
+    @cached_property
+    def bob_state(self) -> PureState | None:
+        return None if self.fidelity is None else PureState(("2",), self.batch.bob[0, self.index])
 
 
 @dataclass(frozen=True)
@@ -187,7 +196,7 @@ class InputBatch:
     (polar) is the root of the Gram diagonal g of branch_stack. probabilities[i, k] = p =
     |alpha|^2 g0 + |beta|^2 g1, fidelities[i, k] = min((|alpha|^2 h0 + |beta|^2 h1)^2 / p, 1).
     Built on first read: bob[i, k], Bob's corrected state (alpha h0, beta h1) / sqrt(p), and
-    corrections, the U_k of the M_k of stack, which only run reads. Below TOL_PROB, bob is
+    corrections, the U_k of the M_k of stack, which only run's records read. Below TOL_PROB, bob is
     zero and the fidelity NaN. A faithful branch is kept down to the smallest normal float,
     since its state is exact at any scale; below that the probability has lost bits, and the
     state renormalised by its square root is off unit norm by up to 1e-2. inputs holds the psi.
@@ -519,10 +528,13 @@ def one_faithful_labels(index: int) -> str:
 
 
 def _parsed_input(input_amps) -> tuple:
+    """The entries of a sequence or array, text read by parse_complex: BadInput for anything else
+    (a set or dict has no order, a generator is read once, a string or byte string is no pair)."""
+    pair = isinstance(input_amps, Sequence) or (isinstance(input_amps, np.ndarray) and input_amps.ndim > 0)
+    if not pair or isinstance(input_amps, (str, bytes, bytearray)):
+        raise BadInput(f"input must be an (alpha, beta) pair, got {type(input_amps).__name__}")
     try:
         return tuple(finite_complex(a, "input amplitude") for a in input_amps)
-    except TypeError:  # not iterable
-        raise BadInput(f"input must be an (alpha, beta) pair, got {type(input_amps).__name__}") from None
     except NonFinite as exc:
         raise BadInput(str(exc)) from None
 
@@ -581,10 +593,8 @@ def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int 
     records = []
     for k, label in enumerate(BASIS_LABELS):
         fid = float(batch.fidelities[0, k])
-        kept = not math.isnan(fid)
         records.append(OutcomeRecord(label, float(batch.probabilities[0, k]), label in report.faithful_outcomes,
-                                     batch.corrections[k], PureState(("2",), batch.bob[0, k]) if kept else None,
-                                     fid if kept else None))
+                                     None if math.isnan(fid) else fid, batch, k))
     if shots is None:
         return RunResult(tuple(records), report)
     shots = measure._integer(shots, "shots", 1)

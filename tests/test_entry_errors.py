@@ -78,6 +78,22 @@ CASES = [
     ("run huge int", lambda: teleport.run((HUGE, 0), PARAMS), BadInput, f"^input amplitude {BEYOND}"),
     ("measured_probabilities huge int", lambda: teleport.measured_probabilities((HUGE, 0), PARAMS),
      BadInput, f"^input amplitude {BEYOND}"),
+    # a set's hash order picked alpha and beta, a dict teleported its keys, a generator was read once
+    ("run set", lambda: teleport.run({0.6, 0.8j}, PARAMS),
+     BadInput, "^input must be an \\(alpha, beta\\) pair, got set$"),
+    ("run dict", lambda: teleport.run({0.6: 1, 0.8j: 2}, PARAMS),
+     BadInput, "^input must be an \\(alpha, beta\\) pair, got dict$"),
+    ("run generator", lambda: teleport.run((a for a in (0.6, 0.8j)), PARAMS),
+     BadInput, "^input must be an \\(alpha, beta\\) pair, got generator$"),
+    ("run string", lambda: teleport.run("10", PARAMS), BadInput, "^input must be an \\(alpha, beta\\) pair, got str$"),
+    ("run bytearray", lambda: teleport.run(bytearray(b"\x01\x00"), PARAMS),
+     BadInput, "^input must be an \\(alpha, beta\\) pair, got bytearray$"),
+    ("run 0-d array", lambda: teleport.run(np.array(0.6), PARAMS),
+     BadInput, "^input must be an \\(alpha, beta\\) pair, got ndarray$"),
+    ("measured_probabilities set", lambda: teleport.measured_probabilities({0.6, 0.8j}, PARAMS),
+     BadInput, "^input must be an \\(alpha, beta\\) pair, got set$"),
+    ("measured_probabilities generator", lambda: teleport.measured_probabilities((a for a in (0.6, 0.8j)), PARAMS),
+     BadInput, "^input must be an \\(alpha, beta\\) pair, got generator$"),
     # measured_probabilities checks its input as run does
     ("measured_probabilities three amplitudes", lambda: teleport.measured_probabilities((1, 0, 0), PARAMS),
      BadInput, "^inputs must be a nonempty sequence of \\(alpha, beta\\) pairs, got shape \\(1, 3\\)$"),

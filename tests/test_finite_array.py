@@ -91,6 +91,13 @@ CASES = [
      BadInput, "^n, ell and p must be numbers"),
     ("PureState numeric text", lambda: qcore.PureState(("a",), ["1", "0"]), ShapeError, "^amplitudes must be numbers"),
     ("make_state string", lambda: qcore.make_state(("a",), "10"), ShapeError, "^amplitudes must be numbers"),
+    # make_state once converted through list(amps): a dict gave its keys, a set its hash order,
+    # bytes their byte values, and a generator was accepted
+    ("make_state dict", lambda: qcore.make_state(("a",), {1: 0, 0: 1}), ShapeError, "^amplitudes must be numbers"),
+    ("make_state set", lambda: qcore.make_state(("a",), {0.6, 0.8}), ShapeError, "^amplitudes must be numbers"),
+    ("make_state bytes", lambda: qcore.make_state(("a",), b"\x01\x00"), ShapeError, "^amplitudes must be numbers"),
+    ("make_state generator", lambda: qcore.make_state(("a",), (a for a in (1, 0))),
+     ShapeError, "^amplitudes must be numbers"),
     ("count_outcomes numeric text", lambda: measure.count_outcomes([["1", "0", "0", "0"]], 10, _rng()),
      BadInput, "^probabilities must be numbers"),
     ("evaluate_inputs numeric text", lambda: _evaluate([["1", "0"]]), BadInput, "^input amplitudes must be numbers"),

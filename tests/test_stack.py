@@ -320,3 +320,45 @@ def test_diagonal_grams_equal_an_independent_matmul(draws):
             assert np.all(stack.faithful[:, expected])
             away = np.abs(np.log(np.abs(n))) > 1e-6
             assert np.array_equal(stack.faithful[away], np.broadcast_to(expected, stack.faithful[away].shape))
+
+
+_INPUTS = st.sampled_from([(1, 0), (0, 1), (0.6, 0.8j), (0.28 - 0.96j, 0), (math.sqrt(0.5), -math.sqrt(0.5))])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM), min_size=1, max_size=20), _INPUTS)
+def test_run_records_equal_the_eager_values_bit_for_bit(draws, input_amps):
+    # each record's correction is correction_unitary of its transfer matrix and its bob_state
+    # the PureState of the batch row, on every branch, kept or not, whenever they are read
+    for n, ell, p in ([cmath.rect(10.0 ** e, phase) for e, phase in tup] for tup in draws):
+        params = ProtocolParams(n, ell, p)
+        stack = teleport.protocol_branches(params)
+        batch = teleport.evaluate_inputs(stack, [input_amps])
+        records = teleport.run(input_amps, params).records
+        for k, (record, tm) in enumerate(zip(records, teleport.transfer_matrices(params))):
+            fid = float(batch.fidelities[0, k])
+            assert (record.label, record.faithful) == (tm.label, bool(stack.faithful[0, k]))
+            assert record.probability.hex() == float(batch.probabilities[0, k]).hex()
+            assert np.array_equal(record.correction.view(np.int64), teleport.correction_unitary(tm).view(np.int64))
+            if math.isnan(fid):
+                assert record.fidelity is None and record.bob_state is None
+            else:
+                assert record.fidelity.hex() == fid.hex()
+                assert np.array_equal(record.bob_state.amps.view(np.int64), batch.bob[0, k].view(np.int64))
+
+
+@pytest.mark.parametrize("shots", [None, 100])
+def test_run_builds_corrections_and_states_on_first_read(monkeypatch, shots):
+    calls, states = [], []
+    corrections, post_init = teleport._corrections, teleport.PureState.__post_init__
+    monkeypatch.setattr(teleport, "_corrections", lambda mats: calls.append(1) or corrections(mats))
+    monkeypatch.setattr(teleport.PureState, "__post_init__", lambda self: states.append(1) or post_init(self))
+    records = teleport.run((0.6, 0.8j), teleport.two_faithful_choice(0.5, 0), shots=shots).records
+    assert calls == [] and states == []
+    assert not any({"correction", "bob_state"} & set(record.__dict__) for record in records)
+    first = records[0].correction
+    assert records[0].correction is first and len(calls) == 1
+    assert all(record.correction.shape == (2, 2) for record in records) and len(calls) == 1
+    kept = [record.bob_state for record in records if record.fidelity is not None]
+    assert len(kept) == len(states) == 4
+    assert all(record.bob_state is state for record, state in zip(records, kept)) and len(states) == 4
