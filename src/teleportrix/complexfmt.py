@@ -64,12 +64,12 @@ def finite_complex(value, name: str) -> complex:
 
 
 def finite_array(value, dtype, what: str, error: type, nonfinite: type) -> np.ndarray:
-    """np.asarray(value) cast to dtype, so an array of dtype is not copied: error naming `what` unless
-    numpy reads bool, integer, float or complex numbers in an array of one shape (not text, None, other
-    objects or ints past 64 bits), or for complex values where dtype is real; nonfinite for NaN or inf."""
+    """np.asarray(value) cast to dtype, so an array of dtype is not copied: error naming `what` unless numpy
+    reads bool, integer, float or complex numbers in one shape (not text, None, bytes, bytearray, memoryview,
+    other objects or ints past 64 bits), or for complex values where dtype is real; nonfinite for NaN or inf."""
     try:
         array = np.asarray(value)
-        if array.dtype.kind not in "biufc":
+        if array.dtype.kind not in "biufc" or isinstance(value, (bytearray, memoryview)):
             raise ValueError
     except ValueError:  # ragged (numpy >= 1.24) or not numbers
         raise error(f"{what} must be numbers in an array of one shape") from None

@@ -33,7 +33,6 @@ does it for G parameter tuples at once; swap_run is its batch of one.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -237,8 +236,9 @@ def phase_matched_choice(m, n, ell, p) -> SwapParams:
 
 
 def _close(x: complex, y: complex) -> bool:
-    """x = y within TOL_EQ relative to max(|x|, |y|, 1); an overflowed product matches nothing."""
-    return cmath.isfinite(x) and cmath.isfinite(y) and abs(x - y) <= TOL_EQ * max(abs(x), abs(y), 1.0)
+    """x = y within TOL_EQ relative to max(|x|, |y|, 1); an overflowed product or modulus matches nothing."""
+    gap, scale = x - y, max(math.hypot(x.real, x.imag), math.hypot(y.real, y.imag), 1.0)
+    return math.isfinite(scale) and math.hypot(gap.real, gap.imag) <= TOL_EQ * scale
 
 
 def classify_swap(params: SwapParams) -> SwapRegimeReport:

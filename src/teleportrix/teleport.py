@@ -195,8 +195,8 @@ class InputBatch:
     M_k has one nonzero entry per column, so H_k = U_k M_k = sqrt(M_k^dag M_k) is diagonal: h
     (polar) is the root of the Gram diagonal g of branch_stack. probabilities[i, k] = p =
     |alpha|^2 g0 + |beta|^2 g1, fidelities[i, k] = min((|alpha|^2 h0 + |beta|^2 h1)^2 / p, 1).
-    Built on first read: bob[i, k], Bob's corrected state (alpha h0, beta h1) / sqrt(p), and
-    corrections, the U_k of the M_k of stack, which only run's records read. Below TOL_PROB, bob is
+    Built on first read, read-only: bob[i, k], Bob's corrected state (alpha h0, beta h1) / sqrt(p),
+    and corrections, the U_k of the M_k of stack, which run's records share. Below TOL_PROB, bob is
     zero and the fidelity NaN. A faithful branch is kept down to the smallest normal float,
     since its state is exact at any scale; below that the probability has lost bits, and the
     state renormalised by its square root is off unit norm by up to 1e-2. inputs holds the psi.
@@ -212,11 +212,13 @@ class InputBatch:
     def bob(self) -> np.ndarray:
         root = np.sqrt(np.where(np.isnan(self.fidelities), np.inf, self.probabilities))  # bob is 0 where not kept
         # complex times real: (re * s, im * s), each a single rounded product
-        return self.inputs[:, None, :] * (self.polar / root[..., None])
+        (bob := self.inputs[:, None, :] * (self.polar / root[..., None])).setflags(write=False)
+        return bob
 
     @cached_property
     def corrections(self) -> np.ndarray:
-        return _corrections(self.stack.matrices[0])
+        (corrections := _corrections(self.stack.matrices[0])).setflags(write=False)
+        return corrections
 
 
 @dataclass(frozen=True, eq=False)

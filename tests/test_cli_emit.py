@@ -312,6 +312,12 @@ def test_subnormal_branch_probabilities_leave_stderr_empty(argv):
     (["sweep", "--n-grid", "1e-200:2e-200:1e-200", "--regime", "probabilistic1"],
      "teleportrix: the generic value 2 max(|n|, 1/|n|) + 1 is too large at |n| = 1e-200: "
      "it or a power of it overflows a float\n"),
+    # |m n l*| is 1.9e308 with finite parts: the swap condition check once leaked OverflowError, which
+    # main reported as "numeric overflow". The analytic block refuses |m| = 1e100, as it refuses every
+    # |m| or |n| large enough for a condition product to leave the float range.
+    (["swap", "--m=1e100", "--n=1e100", "--l=1.4849242404917497e+108+1.4849242404917497e+108i", "--p=1",
+      "--l-prime=1", "--p-prime=0"],
+     "teleportrix: m = (1e+100+0j) is too large: a power of |m| overflows a float\n"),
 ])
 def test_overflow_exits_2_with_one_stderr_line_and_no_warning(argv, err):
     proc = _run_cli(argv)

@@ -3,16 +3,23 @@ a call that once leaked Python's TypeError, AttributeError or OverflowError,
 or numpy's ComplexWarning (the imaginary part dropped where a real number is
 meant), or raised another error than its sibling entry point, or a value a
 constructor or function refuses; it must raise the named TeleportrixError
-with its message and no warning.
+with its message and no warning. Where classify_swap's condition products
+leave the float range (BAND and the property test), it must return, or
+raise a TeleportrixError.
 """
 
+import cmath
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleportrix import ebasis, measure, qcore, swap, teleport
-from teleportrix.errors import BadInput, BadSubset, NonFinite, NormalizationError, ParseError, ShapeError
+from teleportrix.errors import (BadInput, BadSubset, NonFinite, NormalizationError, ParseError, ShapeError,
+                                TeleportrixError)
 
 I2 = np.eye(2)
 NESTED = [[1.0, 0.0], [0.0, 1.0]]
@@ -108,3 +115,57 @@ def test_wrong_kind_of_data_raises_the_named_error_without_a_warning(call, error
         warnings.simplefilter("error")
         with pytest.raises(error, match=message):
             call()
+
+
+# Finite parameters whose condition products leave the float range, where abs of a complex number
+# with finite parts and a modulus past DBL_MAX once leaked Python's OverflowError: |m n l*| is 1.9e308,
+# and n l' - m p* is 1.69e308 (1 + i), a gap of two products that are each in range.
+BAND = [
+    (swap.SwapParams(1e100, 1e100, 1.4849242404917497e108 + 1.4849242404917497e108j, 1, 1, 0),
+     False, True, ("PhiPlus",)),
+    (swap.SwapParams(-1.3e154j, 1.3e154, 1, 1.3e154, 1.3e154, 1), False, False, ()),
+]
+
+
+@pytest.mark.parametrize("params, phi, psi, reliable", BAND, ids=["m n l* past DBL_MAX", "psi gap past DBL_MAX"])
+def test_a_condition_product_past_the_float_range_matches_nothing(params, phi, psi, reliable):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = swap.classify_swap(params)
+    assert (report.phi_branch_conditions, report.psi_branch_conditions) == (phi, psi)
+    assert report.reliable_outcomes == reliable
+
+
+def _polar(exponent, phase):
+    return cmath.rect(10.0 ** exponent, phase)
+
+
+_PHASE = st.floats(0.0, 2.0 * math.pi)
+# swap_stack accepts moduli from about 1e-160 (its probabilities stay normal) to 1.34e154 (|z|^2 is finite)
+_EXPONENT = st.floats(-160.0, 154.12)
+
+
+@st.composite
+def _near_float_max(draw):
+    """Parameters whose condition products straddle DBL_MAX (10^308.25), where finite parts can have a
+    modulus up to sqrt(2) DBL_MAX: either |m n l*| and |m n p'*| over 10^308..10^308.5, or m, n, p and l'
+    over 10^153.9..10^154.12, so that the psi products reach DBL_MAX and a gap between two of them twice it."""
+    if draw(st.booleans()):
+        a, b = draw(st.floats(90.0, 110.0)), draw(st.floats(90.0, 110.0))
+        l_exp, pp_exp = (draw(st.floats(308.0, 308.5)) - a - b for _ in range(2))
+        exponents = [a, b, l_exp, draw(_EXPONENT), draw(_EXPONENT), pp_exp]
+    else:
+        exponents = [draw(st.floats(153.9, 154.12)) if name in "mnpL" else draw(_EXPONENT) for name in "mnlpLP"]
+    return [_polar(exponent, draw(_PHASE)) for exponent in exponents]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.lists(st.builds(_polar, _EXPONENT, _PHASE), min_size=6, max_size=6), _near_float_max()))
+def test_classify_swap_returns_or_raises_a_teleportrix_error(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = swap.classify_swap(swap.SwapParams(*values))
+        except TeleportrixError:
+            return
+    assert type(report.phi_branch_conditions) is bool and type(report.psi_branch_conditions) is bool

@@ -98,6 +98,20 @@ CASES = [
     ("make_state bytes", lambda: qcore.make_state(("a",), b"\x01\x00"), ShapeError, "^amplitudes must be numbers"),
     ("make_state generator", lambda: qcore.make_state(("a",), (a for a in (1, 0))),
      ShapeError, "^amplitudes must be numbers"),
+    # numpy reads a bytearray's or memoryview's items as numbers, where bytes of the same content
+    # were refused: each built or counted raw byte values
+    ("PureState bytearray", lambda: qcore.PureState(("a",), bytearray(b"\x01\x00")),
+     ShapeError, "^amplitudes must be numbers"),
+    ("make_state memoryview", lambda: qcore.make_state(("a",), memoryview(b"\x01\x00")),
+     ShapeError, "^amplitudes must be numbers"),
+    ("count_outcomes memoryview", lambda: measure.count_outcomes(
+        memoryview(bytearray(b"\x01\x00\x00\x00")).cast("B", (1, 4)), 3, _rng()),
+     BadInput, "^probabilities must be numbers"),
+    ("evaluate_inputs memoryview", lambda: _evaluate(memoryview(bytearray(b"\x01\x00")).cast("B", (1, 2))),
+     BadInput, "^input amplitudes must be numbers"),
+    # the rule is by type: a memoryview of a numeric array is refused too
+    ("PureState memoryview of floats", lambda: qcore.PureState(("a",), memoryview(np.array([1.0, 0.0]))),
+     ShapeError, "^amplitudes must be numbers"),
     ("count_outcomes numeric text", lambda: measure.count_outcomes([["1", "0", "0", "0"]], 10, _rng()),
      BadInput, "^probabilities must be numbers"),
     ("evaluate_inputs numeric text", lambda: _evaluate([["1", "0"]]), BadInput, "^input amplitudes must be numbers"),

@@ -362,3 +362,16 @@ def test_run_builds_corrections_and_states_on_first_read(monkeypatch, shots):
     kept = [record.bob_state for record in records if record.fidelity is not None]
     assert len(kept) == len(states) == 4
     assert all(record.bob_state is state for record, state in zip(records, kept)) and len(states) == 4
+
+
+def test_run_records_share_read_only_corrections_and_states():
+    # a record's correction is a view of its batch's corrections: assigning through it once
+    # changed the shared array, and so what every later read of the batch returned
+    record = teleport.run((0.6, 0.8), ProtocolParams(0.5, 0.5, 0.5)).records[0]
+    before = record.batch.corrections.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        record.correction[0, 0] = 99
+    with pytest.raises(ValueError, match="read-only"):
+        record.batch.bob[0, 0, 0] = 99
+    assert np.array_equal(record.batch.corrections, before)
+    assert not record.correction.flags.writeable and not record.batch.bob.flags.writeable
