@@ -13,6 +13,7 @@ never by comparing amplitudes componentwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -143,11 +144,15 @@ class SchmidtForm:
 
 def make_state(labels: Sequence, amps) -> PureState:
     """Build a normalized state from a sequence or array of amplitudes (see finite_array); rejects
-    zero vectors and bad shapes (PureState's check)."""
+    the zero vector and bad shapes (PureState's check). Where |v|^2 is not a normal, finite float,
+    v is first divided by its largest real or imaginary part, so any other vector normalizes."""
     arr = finite_array(amps, complex, "amplitudes", ShapeError, NormalizationError)
     norm_sq = float(np.vdot(arr, arr).real)
-    if norm_sq < 1e-12:
-        raise NormalizationError("cannot normalize a (near-)zero vector")
+    if not sys.float_info.min <= norm_sq < math.inf:  # zero, subnormal or overflowed
+        scale = np.max(np.maximum(np.abs(arr.real), np.abs(arr.imag)), initial=0.0)
+        if not scale > 0.0:
+            raise NormalizationError("cannot normalize a zero vector")
+        return make_state(labels, arr.real / scale + 1j * (arr.imag / scale))  # complex / real is * (1 / scale)
     return PureState(tuple(labels), arr / math.sqrt(norm_sq))
 
 

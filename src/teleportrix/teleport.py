@@ -20,9 +20,13 @@ in column 1, so M^dag M = diag(|x|^2, |y|^2) exactly and faithful means
 re * re + im * im, real float operations that round alike on every host
 (a complex matmul's bits depend on the BLAS kernel). So faithfulness
 depends only on |l| or |p| versus |n| and 1/|n|; each faithful branch
-occurs with probability |n|^2/(1+|n|^2)^2. The test is relative
-(|x|^2 / c and |y|^2 / c against 1), so it holds at any scale of c;
-only c == 0 is unfaithful for its size.
+occurs with probability |n|^2/(1+|n|^2)^2. The paper's four conditions
+fix one parameter each: PhiPlus is faithful at l = 1/n*, PhiMinus at
+l = n, PsiPlus at p = n* and PsiMinus at p = 1/n (the PhiPlus and
+PsiMinus rules divide by n). The eight basis choices, four leaving two
+outcomes faithful and four leaving one, are read from these conditions
+(_CONDITIONS). The test is relative (|x|^2 / c and |y|^2 / c against
+1), so it holds at any scale of c; only c == 0 is unfaithful for its size.
 
 Success probabilities reported by classify and run always come from
 the matrices themselves; success_probability_analytic is the closed
@@ -64,25 +68,17 @@ from .tolerances import TOL_EQ, TOL_NORM, TOL_PROB
 
 INFINITE = math.inf
 
-# Parameter choices with two faithful outcomes, indexed 0..3: join the
-# basis parameters to the resource as (l, p) = (n, n*), (n, 1/n),
-# (1/n*, 1/n), (1/n*, n*). Each leaves exactly the named pair faithful.
-# The rules of both tables take (G,) complex arrays; the flag marks those dividing by n.
-_TWO_FAITHFUL = (
-    (lambda n: (n, n.conjugate()), ("PhiMinus", "PsiPlus"), False),
-    (lambda n: (n, 1 / n), ("PhiMinus", "PsiMinus"), True),
-    (lambda n: (1 / n.conjugate(), 1 / n), ("PhiPlus", "PsiMinus"), True),
-    (lambda n: (1 / n.conjugate(), n.conjugate()), ("PhiPlus", "PsiPlus"), True),
-)
-
-# Choices with one faithful outcome, indexed 0..3: (l, p) from n and a
-# generic value g that leaves the other pair unfaithful.
-_ONE_FAITHFUL = (
-    (lambda n, g: (1 / n.conjugate(), g), "PhiPlus", True),
-    (lambda n, g: (n, g), "PhiMinus", False),
-    (lambda n, g: (g, n.conjugate()), "PsiPlus", False),
-    (lambda n, g: (g, 1 / n), "PsiMinus", True),
-)
+# The paper's four conditions (see the module docstring): outcome -> (the parameter it sets,
+# l = 0 or p = 1, its rule on a (G,) complex array n, whether the rule divides by n).
+_CONDITIONS = {
+    "PhiPlus": (0, lambda n: 1 / n.conjugate(), True),
+    "PhiMinus": (0, lambda n: n, False),
+    "PsiPlus": (1, lambda n: n.conjugate(), False),
+    "PsiMinus": (1, lambda n: 1 / n, True),
+}
+# The choices, indexed 0..3, as the outcomes whose conditions _chosen joins.
+_TWO_FAITHFUL = (("PhiMinus", "PsiPlus"), ("PhiMinus", "PsiMinus"), ("PhiPlus", "PsiMinus"), ("PhiPlus", "PsiPlus"))
+_ONE_FAITHFUL = tuple((label,) for label in BASIS_LABELS)
 
 
 @dataclass(frozen=True)
@@ -449,84 +445,77 @@ def two_faithful_choice(n, index: int) -> ProtocolParams:
     """One of the four basis choices leaving exactly two faithful outcomes: the batch of one of
     two_faithful_stack, so its (l, p) have the stack's bits."""
     n = finite_complex(n, "n")
-    ell, p = _two_faithful(np.array([n]), index)
+    ell, p = _chosen(np.array([n]), two_faithful_labels(index))
     return ProtocolParams(n, complex(ell[0]), complex(p[0]))
 
 
 def two_faithful_stack(n, index: int) -> BranchStack:
     """branch_stack of two_faithful_choice(n[g], index) for a (G,) array n."""
     n = finite_rows([n], "n")[0]
-    return branch_stack(n, *_two_faithful(n, index))
-
-
-def _two_faithful(n: np.ndarray, index: int) -> tuple:
-    """(l, p) arrays of rule `index` of _TWO_FAITHFUL; where the rule divides by n, _refuse
-    names the first n where 1/|n| reaches MODULUS_BOUND."""
-    make, _, divides = _choice(_TWO_FAITHFUL, index, not np.all(n))
-    with np.errstate(over="ignore", invalid="ignore"):  # 1/|n| is inf below |n| = 1 / DBL_MAX
-        if divides:
-            _refuse(1.0 / np.hypot(n.real, n.imag), n, "1/n")
-        return make(n)
+    return branch_stack(n, *_chosen(n, two_faithful_labels(index)))
 
 
 def two_faithful_labels(index: int) -> tuple:
     """The outcome pair that choice `index` makes faithful."""
-    return _choice(_TWO_FAITHFUL, index)[1]
-
-
-def _choice(table: tuple, index: int, has_zero: bool = False) -> tuple:
-    """Entry `index` (rule, labels, divides) of _TWO_FAITHFUL or _ONE_FAITHFUL: BadInput unless
-    index is an integer 0..3, NonFinite where the rule divides by n and n has a zero."""
-    if index not in range(4) or not isinstance(index, (int, np.integer)):
-        raise BadInput(f"index must be 0..3, got {index!r}")
-    if table[index][2] and has_zero:
-        raise NonFinite("choice needs a nonzero resource parameter")
-    return table[index]
-
-
-def _refuse(moduli: np.ndarray, n: np.ndarray, what: str) -> None:
-    """NonFinite naming |n| (n, if |n|^2 overflows) at the first n[g] where moduli[g] >= MODULUS_BOUND."""
-    too_large = np.flatnonzero(~(moduli < MODULUS_BOUND))
-    if too_large.size:
-        z = n[too_large[0]]
-        squared_modulus(complex(z), "n")
-        raise NonFinite(f"{what} is too large at |n| = {float(np.hypot(z.real, z.imag))!r}: "
-                        "it or a power of it overflows a float")
+    return _choice(_TWO_FAITHFUL, index)
 
 
 def one_faithful_choice(n, index: int) -> ProtocolParams:
-    """One of the four single conditions, the other parameter kept generic (see _one_faithful):
+    """One of the four single conditions, the other parameter kept generic (see _chosen):
     the batch of one of one_faithful_stack."""
     n = finite_complex(n, "n")
-    ell, p = _one_faithful(np.array([n]), index)
+    ell, p = _chosen(np.array([n]), _choice(_ONE_FAITHFUL, index))
     return ProtocolParams(n, complex(ell[0]), complex(p[0]))
 
 
 def one_faithful_stack(n, index: int) -> BranchStack:
     """branch_stack of one_faithful_choice(n[g], index) for a (G,) array n."""
     n = finite_rows([n], "n")[0]
-    return branch_stack(n, *_one_faithful(n, index))
-
-
-def _one_faithful(n: np.ndarray, index: int) -> tuple:
-    """(l, p) arrays of rule `index` of _ONE_FAITHFUL at the generic value 2 max(|n|, 1/|n|) + 1.
-
-    It is 1 at n = 0 and otherwise over twice both moduli that would make its
-    branch pair faithful, so that pair stays unfaithful at any |n|; NonFinite names
-    it through _refuse at the first n where it reaches MODULUS_BOUND.
-    """
-    rule, _, _ = _choice(_ONE_FAITHFUL, index, not np.all(n))
-    with np.errstate(over="ignore"):  # 1/|n| is inf below |n| = 1 / DBL_MAX
-        modulus = np.hypot(n.real, n.imag)
-        inverse = np.divide(1.0, modulus, out=np.zeros_like(modulus), where=modulus != 0.0)
-        generic = 2.0 * np.maximum(modulus, inverse) + 1.0
-    _refuse(generic, n, "the generic value 2 max(|n|, 1/|n|) + 1")
-    return rule(n, generic)
+    return branch_stack(n, *_chosen(n, _choice(_ONE_FAITHFUL, index)))
 
 
 def one_faithful_labels(index: int) -> str:
     """The single outcome that one_faithful_choice(index) makes faithful."""
-    return _choice(_ONE_FAITHFUL, index)[1]
+    return _choice(_ONE_FAITHFUL, index)[0]
+
+
+def _choice(table: tuple, index: int) -> tuple:
+    """Labels `index` of _TWO_FAITHFUL or _ONE_FAITHFUL: BadInput unless index is an int or numpy
+    integer 0..3 and no bool; the type is tested first, so an array never reaches the range test."""
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or index not in range(4):
+        raise BadInput(f"index must be 0..3, got {index!r}")
+    return table[index]
+
+
+def _chosen(n: np.ndarray, labels: tuple) -> tuple:
+    """(l, p) arrays making the outcomes `labels` faithful: each label sets its parameter by its
+    condition, and a parameter no label sets takes the generic value 2 max(|n|, 1/|n|) + 1, which is
+    1 at n = 0 and otherwise over twice both moduli that would make its branch pair faithful.
+
+    NonFinite where a rule divides by n and n has a zero, and, naming |n| (n, if |n|^2 overflows),
+    at the first n where the generic value, else 1/|n| where a rule divides by n, reaches MODULUS_BOUND.
+    """
+    conditions = [_CONDITIONS[label] for label in labels]
+    divides, free = any(divides for _, _, divides in conditions), len(conditions) < 2
+    if divides and not np.all(n):
+        raise NonFinite("choice needs a nonzero resource parameter")
+    values = [None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # 1/|n| is inf below |n| = 1 / DBL_MAX
+        if free or divides:
+            modulus = np.hypot(n.real, n.imag)
+            inverse = np.divide(1.0, modulus, out=np.zeros_like(modulus), where=modulus != 0.0)
+            if free:
+                values = [2.0 * np.maximum(modulus, inverse) + 1.0] * 2
+            bound, what = (values[0], "the generic value 2 max(|n|, 1/|n|) + 1") if free else (inverse, "1/n")
+            too_large = np.flatnonzero(~(bound < MODULUS_BOUND))
+            if too_large.size:
+                z = n[too_large[0]]
+                squared_modulus(complex(z), "n")
+                raise NonFinite(f"{what} is too large at |n| = {float(np.hypot(z.real, z.imag))!r}: "
+                                "it or a power of it overflows a float")
+        for param, rule, _ in conditions:
+            values[param] = rule(n)
+    return tuple(values)
 
 
 def _parsed_input(input_amps) -> tuple:

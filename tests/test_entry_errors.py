@@ -26,6 +26,10 @@ NESTED = [[1.0, 0.0], [0.0, 1.0]]
 PARAMS = teleport.ProtocolParams(0.5, 0.5, 2)
 HUGE = 10**400
 BEYOND = "must be finite, got a value beyond the float range$"
+INDEX = "^index must be 0\\.\\.3, got "
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", PendingDeprecationWarning)  # numpy's matrix subclass
+    MATRIX = np.matrix([[1, 2]])
 
 CASES = [
     ("general_basis one value", lambda: ebasis.general_basis((1,)), BadInput, "^basis parameters .* got \\(1,\\)"),
@@ -104,6 +108,21 @@ CASES = [
     # measured_probabilities checks its input as run does
     ("measured_probabilities three amplitudes", lambda: teleport.measured_probabilities((1, 0, 0), PARAMS),
      BadInput, "^inputs must be a nonempty sequence of \\(alpha, beta\\) pairs, got shape \\(1, 3\\)$"),
+    # the choice index is tested by type before range, so an array never reaches `in range(4)`,
+    # whose truth value numpy refused with ValueError; a bool once picked choice 0 or 1
+    ("two_faithful_labels array", lambda: teleport.two_faithful_labels(np.array([1, 2])),
+     BadInput, INDEX + "array\\(\\[1, 2\\]\\)$"),
+    ("one_faithful_choice matrix", lambda: teleport.one_faithful_choice(0.5, MATRIX), BadInput, INDEX + "matrix"),
+    ("two_faithful_stack masked array", lambda: teleport.two_faithful_stack([0.5], np.ma.masked_array([1, 2])),
+     BadInput, INDEX + "masked_array"),
+    ("two_faithful_labels True", lambda: teleport.two_faithful_labels(True), BadInput, INDEX + "True$"),
+    ("one_faithful_labels False", lambda: teleport.one_faithful_labels(False), BadInput, INDEX + "False$"),
+    ("one_faithful_stack numpy True", lambda: teleport.one_faithful_stack([0.5], np.True_), BadInput, INDEX),
+    # a choice whose condition divides by n refuses a zero n
+    ("two_faithful_stack n = 0", lambda: teleport.two_faithful_stack([0.5, 0.0], 1),
+     NonFinite, "^choice needs a nonzero resource parameter$"),
+    ("one_faithful_choice n = 0", lambda: teleport.one_faithful_choice(0, 0),
+     NonFinite, "^choice needs a nonzero resource parameter$"),
     ("measured_probabilities unnormalized", lambda: teleport.measured_probabilities((1, 1), PARAMS),
      BadInput, "^input amplitudes must be finite, with \\|alpha\\|\\^2 \\+ \\|beta\\|\\^2 = 1 within TOL_NORM$"),
 ]

@@ -45,8 +45,21 @@ class TestMakeState:
         np.testing.assert_allclose(s.amps, [RT2, 0, 0, RT2], atol=1e-15)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(NormalizationError, match="^cannot normalize a zero vector$"):
             make_state(("a",), (0, 0))
+
+    # |v|^2 of 2e-14 and 2.5e-13 once fell under an absolute floor of 1e-12, of 1e-400
+    # underflowed to 0 and of 1e400 or 2e320 overflowed: each is the unit vector it scales to
+    @pytest.mark.parametrize("vec, unit", [([1e-7, 1e-7], [RT2, RT2]), ([3e-7, 4e-7j], [0.6, 0.8j]),
+                                           ([1e-200, 0], [1, 0]), ([1e200, 0], [1, 0]),
+                                           ([1e160, 1e160], [RT2, RT2])])
+    def test_any_nonzero_scale_normalizes(self, vec, unit):
+        amps, unit = make_state(("a",), vec).amps, np.array(unit, dtype=complex)
+        for got, want in ((amps.real, unit.real), (amps.imag, unit.imag)):
+            np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    def test_smallest_subnormal_normalizes_exactly(self):
+        assert make_state(("a",), [5e-324, 0]).amps.tolist() == [1, 0]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

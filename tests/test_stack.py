@@ -3,6 +3,7 @@ parameter overflow, and a property test against the scalar route."""
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -264,6 +265,35 @@ def test_each_choice_has_the_bits_of_its_stack(stack_of, choice):
         want = stack_of(ns, index).entries
         got = np.stack([teleport.protocol_branches(choice(n, index)).entries[:, 0] for n in ns.tolist()], axis=1)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), index
+
+
+# (l, p) of each choice as the teleport module docstring writes the paper's conditions, in Python's complex
+# arithmetic; None marks the free parameter of a one-faithful choice.
+_DOCUMENTED = [
+    (teleport.two_faithful_choice, [lambda n: (n, n.conjugate()), lambda n: (n, 1 / n),
+                                    lambda n: (1 / n.conjugate(), 1 / n),
+                                    lambda n: (1 / n.conjugate(), n.conjugate())]),
+    (teleport.one_faithful_choice, [lambda n: (1 / n.conjugate(), None), lambda n: (n, None),
+                                    lambda n: (None, n.conjugate()), lambda n: (None, 1 / n)]),
+]
+
+
+@pytest.mark.parametrize("choice, rules", _DOCUMENTED, ids=["two_faithful", "one_faithful"])
+def test_each_choice_has_the_documented_l_and_p(choice, rules):
+    # faithfulness and branch probabilities read only |l| and |p|, so this is the one test of a choice's
+    # phase; numpy's 1 / n may differ from Python's in the last bit, hence 4 ulps relative
+    rng = np.random.default_rng(61)
+    ns = 10.0 ** rng.uniform(-150.0, 150.0, 1000) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 1000))
+    reals = 10.0 ** rng.uniform(-150.0, 150.0, 100) * rng.choice([-1.0, 1.0], 100)
+    for n in ns.tolist() + [complex(x) for x in reals.tolist()]:
+        generic = 2.0 * max(abs(n), 1.0 / abs(n)) + 1.0
+        for index, rule in enumerate(rules):
+            params = choice(n, index)
+            for got, want in zip((params.ell, params.p), rule(n)):
+                if want is None:
+                    assert got == generic, (n, index)
+                else:
+                    assert abs(got - want) <= 4.0 * sys.float_info.epsilon * abs(want), (n, index)
 
 
 _MAGNITUDES = st.tuples(st.floats(min_value=-7.0, max_value=7.0), st.sampled_from([-1.0, 1.0]))
