@@ -43,7 +43,6 @@ from .swap import (
     SwapRegimeReport,
     SwapStack,
     classify_swap,
-    classify_swap_outcomes,
     phase_matched_choice,
     swap_run,
     swap_stack,

@@ -434,7 +434,7 @@ def _params(args, record, names) -> tuple:
 def _cmd_swap(args):
     params, param_block = _params(args, swap_mod.SwapParams, _SWAP_PARAMS)
     outcomes = swap_mod.swap_run(params)
-    regime = swap_mod.classify_swap_outcomes(params, outcomes)
+    regime = swap_mod.classify_swap(params)
     table = {
         "label": [o.label for o in outcomes],
         "probability": [o.probability for o in outcomes],

@@ -28,7 +28,8 @@ outcomes and on |00>, |11> for the Psi outcomes, so its squares over the
 probability are its Schmidt weights, and each outcome has two primed
 coefficients of two products each. All of it is real float * and + in a
 fixed order, with no matmul, eigvalsh or per-outcome state. swap_stack
-does it for G parameter tuples at once; swap_run is its batch of one.
+does it for G parameter tuples at once; a SwapParams record builds its
+batch of one (outcomes) once, for swap_run to return and classify_swap to count.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +63,11 @@ class SwapParams:
     def __post_init__(self):
         for name in ("m", "n", "ell", "p", "ell_prime", "p_prime"):
             object.__setattr__(self, name, finite_complex(getattr(self, name), name))
+
+    @cached_property
+    def outcomes(self) -> tuple:
+        """swap_stack's SwapOutcome records of this record, built on first read and kept, unless it raises."""
+        return swap_stack([self.m], [self.n], [self.ell], [self.p], [self.ell_prime], [self.p_prime]).outcomes(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +170,9 @@ def swap_stack(m, n, ell, p, ell_prime, p_prime) -> SwapStack:
 
 
 def swap_run(params: SwapParams) -> tuple:
-    """Measure (a, 1) and analyze each (b, 2) remainder in the primed basis.
-
-    The batch of one of swap_stack: four SwapOutcome records.
-    """
-    return swap_stack([params.m], [params.n], [params.ell], [params.p],
-                      [params.ell_prime], [params.p_prime]).outcomes(0)
+    """Measure (a, 1) and analyze each (b, 2) remainder in the primed basis: params.outcomes, the
+    four SwapOutcome records of swap_stack's batch of one."""
+    return params.outcomes
 
 
 def two_outcome_swap_probability(m, n) -> float:
@@ -249,11 +253,7 @@ def classify_swap(params: SwapParams) -> SwapRegimeReport:
     checks n l' = m p* and n p = m l'*. They are reported separately from
     the brute-force count so any disagreement is visible, not hidden.
     """
-    return classify_swap_outcomes(params, swap_run(params))
-
-
-def classify_swap_outcomes(params: SwapParams, outcomes) -> SwapRegimeReport:
-    """classify_swap from outcomes swap_run(params) already returned."""
+    outcomes = params.outcomes
     reliable = tuple(o.label for o in outcomes if o.reliable)
     success = sum(o.probability for o in outcomes if o.reliable)
     m, n = params.m, params.n
