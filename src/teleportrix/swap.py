@@ -29,7 +29,7 @@ probability are its Schmidt weights, and each outcome has two primed
 coefficients of two products each. All of it is real float * and + in a
 fixed order, with no matmul, eigvalsh or per-outcome state. swap_stack
 does it for G parameter tuples at once; a SwapParams record builds its
-batch of one (outcomes) once, for swap_run to return and classify_swap to count.
+batch of one once, for swap_run to return and classify_swap to count.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class SwapParams:
             object.__setattr__(self, name, finite_complex(getattr(self, name), name))
 
     @cached_property
-    def outcomes(self) -> tuple:
-        """swap_stack's SwapOutcome records of this record, built on first read and kept, unless it raises."""
+    def _outcomes(self) -> tuple:
+        """swap_run's value, built on first read and kept, unless it raises."""
         return swap_stack([self.m], [self.n], [self.ell], [self.p], [self.ell_prime], [self.p_prime]).outcomes(0)
 
 
@@ -170,9 +170,11 @@ def swap_stack(m, n, ell, p, ell_prime, p_prime) -> SwapStack:
 
 
 def swap_run(params: SwapParams) -> tuple:
-    """Measure (a, 1) and analyze each (b, 2) remainder in the primed basis: params.outcomes, the
-    four SwapOutcome records of swap_stack's batch of one."""
-    return params.outcomes
+    """Measure (a, 1) and analyze each (b, 2) remainder in the primed basis.
+
+    The batch of one of swap_stack: four SwapOutcome records, built once per record.
+    """
+    return params._outcomes
 
 
 def two_outcome_swap_probability(m, n) -> float:
@@ -253,7 +255,7 @@ def classify_swap(params: SwapParams) -> SwapRegimeReport:
     checks n l' = m p* and n p = m l'*. They are reported separately from
     the brute-force count so any disagreement is visible, not hidden.
     """
-    outcomes = params.outcomes
+    outcomes = params._outcomes
     reliable = tuple(o.label for o in outcomes if o.reliable)
     success = sum(o.probability for o in outcomes if o.reliable)
     m, n = params.m, params.n

@@ -32,17 +32,15 @@ Success probabilities reported by classify and run always come from
 the matrices themselves; success_probability_analytic is the closed
 form kept as a cross-check, never as the source of truth.
 
-The input-independent work (matrices, completeness, Grams, faithfulness,
-branch probabilities, polar corrections) is done by branch_stack for a
-whole array of G parameter tuples, in read-only arrays, matrices,
-faithfulness and corrections on first read. A ProtocolParams record
-builds its batch of one (branches) once, on first read, for
-transfer_matrices, protocol_branches, classify and run; sweeps
+The input-independent work (matrices, completeness, Grams,
+faithfulness, branch probabilities) is done by branch_stack for a whole
+array of G parameter tuples, matrices and faithfulness on first read;
+transfer_matrices and protocol_branches are its batch of one, and sweeps
 over the resource parameter go through two_faithful_stack / one_faithful_stack,
 whose batch of one is two_faithful_choice / one_faithful_choice.
 evaluate_inputs evaluates a whole (K, 2) batch of inputs as quadratic
 forms of the one-tuple stack's Gram diagonals (see InputBatch); only
-run's records read the polar corrections (_corrections). Shots
+run's records build the polar corrections (_corrections) on first read. Shots
 against the batch follow measure's sampling rule (shot s of input s mod
 K, one multinomial draw of each input's counts): sample_outcomes gives
 the outcome index of every shot, count_outcomes only the four counts, in
@@ -95,11 +93,6 @@ class ProtocolParams:
         for name in ("n", "ell", "p"):
             object.__setattr__(self, name, finite_complex(getattr(self, name), name))
 
-    @cached_property
-    def branches(self) -> BranchStack:
-        """The one-tuple branch_stack of this record, built on first read and kept; one that raises is not."""
-        return branch_stack([self.n], [self.ell], [self.p])
-
 
 @dataclass(frozen=True, eq=False)
 class TransferMatrix:
@@ -121,7 +114,7 @@ class TransferMatrix:
 class OutcomeRecord:
     """Branch `index` of a protocol run, whose InputBatch of one input is `batch`.
 
-    correction (the polar correction unitary, batch.stack.corrections[0, index]) and bob_state (the
+    correction (the polar correction unitary, batch.corrections[index]) and bob_state (the
     conditioned state after it) are built on first read. bob_state is None when the branch
     probability falls below TOL_PROB, or is 0 on a faithful branch (then fidelity is None as
     well). faithful is a property of the transfer matrix, not of the particular input, so
@@ -137,7 +130,7 @@ class OutcomeRecord:
 
     @cached_property
     def correction(self) -> np.ndarray:
-        return self.batch.stack.corrections[0, self.index]
+        return self.batch.corrections[self.index]
 
     @cached_property
     def bob_state(self) -> PureState | None:
@@ -160,9 +153,8 @@ class BranchStack:
 
     entries holds the (8, G) nonzero matrix entries (as _entries gives them), diagonals
     their (2, G, 4) Gram diagonals. probabilities[g, k] = tr(M_k^dag M_k) / 2, the branch
-    probability that no input changes when faithful[g, k] holds. faithful, matrices (M_k of
-    tuple g at [g, k], in label order) and corrections (the polar correction U_k of M_k at
-    [g, k]) are built on first read: a sweep reads none of them. Every array is read-only.
+    probability that no input changes when faithful[g, k] holds. faithful and matrices
+    (M_k of tuple g at [g, k], in label order) are built on first read: a sweep reads neither.
     """
 
     entries: np.ndarray
@@ -171,20 +163,13 @@ class BranchStack:
 
     @cached_property
     def faithful(self) -> np.ndarray:
-        (faithful := _faithful(self.diagonals, self.probabilities)).setflags(write=False)
-        return faithful
+        return _faithful(self.diagonals, self.probabilities)
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        mats = np.zeros((self.entries.shape[1], 4, 2, 2), dtype=complex)
-        mats.reshape(-1, 16)[:, _NONZERO] = self.entries.T
-        mats.setflags(write=False)
-        return mats
-
-    @cached_property
-    def corrections(self) -> np.ndarray:
-        (corrections := _corrections(self.matrices)).setflags(write=False)
-        return corrections
+        mats = np.zeros((self.entries.shape[1], 16), dtype=complex)
+        mats[:, _NONZERO] = self.entries.T
+        return mats.reshape(-1, 4, 2, 2)
 
     def success(self, labels) -> np.ndarray:
         """Summed branch probability of the named outcomes, per tuple."""
@@ -207,10 +192,10 @@ class InputBatch:
     (polar) is the root of the Gram diagonal g of branch_stack. probabilities[i, k] = p =
     |alpha|^2 g0 + |beta|^2 g1, fidelities[i, k] = min((|alpha|^2 h0 + |beta|^2 h1)^2 / p, 1).
     Built on first read, read-only: bob[i, k], Bob's corrected state (alpha h0, beta h1) / sqrt(p),
-    which run's records share. Below TOL_PROB, bob is zero and the fidelity NaN. A faithful
-    branch is kept down to the smallest normal float, since its state is exact at any scale;
-    below that the probability has lost bits, and the state renormalised by its square root is
-    off unit norm by up to 1e-2. inputs holds the psi.
+    and corrections, the U_k of the M_k of stack, which run's records share. Below TOL_PROB, bob is
+    zero and the fidelity NaN. A faithful branch is kept down to the smallest normal float,
+    since its state is exact at any scale; below that the probability has lost bits, and the
+    state renormalised by its square root is off unit norm by up to 1e-2. inputs holds the psi.
     """
 
     probabilities: np.ndarray
@@ -225,6 +210,11 @@ class InputBatch:
         # complex times real: (re * s, im * s), each a single rounded product
         (bob := self.inputs[:, None, :] * (self.polar / root[..., None])).setflags(write=False)
         return bob
+
+    @cached_property
+    def corrections(self) -> np.ndarray:
+        (corrections := _corrections(self.stack.matrices[0])).setflags(write=False)
+        return corrections
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,10 +246,7 @@ def branch_stack(n, ell, p) -> BranchStack:
     squares += entries.imag * entries.imag
     diagonals = squares.reshape(4, 2, -1).transpose(1, 2, 0)  # (2, G, 4)
     _check_gram_total(diagonals)
-    probabilities = _half_traces(diagonals)
-    for array in (entries, diagonals, probabilities):
-        array.setflags(write=False)
-    return BranchStack(entries, diagonals, probabilities)
+    return BranchStack(entries, diagonals, _half_traces(diagonals))
 
 
 # Flat positions, in the (4, 2, 2) stack of one tuple, of the eight
@@ -331,7 +318,7 @@ def _faithful(diagonals: np.ndarray, c: np.ndarray, off=None) -> np.ndarray:
 
 def transfer_matrices(params: ProtocolParams) -> tuple:
     """The four transfer matrices in canonical label order: branch_stack's batch of one."""
-    matrices = params.branches.matrices[0]
+    matrices = protocol_branches(params).matrices[0]
     return tuple(TransferMatrix(label, m) for label, m in zip(BASIS_LABELS, matrices))
 
 
@@ -411,14 +398,17 @@ def correction_unitary(tm: TransferMatrix) -> np.ndarray:
 
 
 def protocol_branches(params: ProtocolParams) -> BranchStack:
-    """Matrices, faithfulness and branch probabilities of one parameter tuple: params.branches,
-    the batch of one of branch_stack, whose report(0) is its regime."""
-    return params.branches
+    """Matrices, faithfulness and branch probabilities of one parameter tuple.
+
+    The batch of one of branch_stack; report(0) is its regime. The
+    corrections are left to InputBatch: classify does not need them.
+    """
+    return branch_stack([params.n], [params.ell], [params.p])
 
 
 def classify(params: ProtocolParams) -> RegimeReport:
     """Count faithful outcomes and total their state-independent probability."""
-    return params.branches.report(0)
+    return protocol_branches(params).report(0)
 
 
 def success_probability_analytic(n, k: int = 2) -> float:
@@ -588,7 +578,7 @@ def run(input_amps, params: ProtocolParams, shots: int | None = None, seed: int 
     the result additionally carries empirical frequencies and the shot
     labels (exhaustive records are still included).
     """
-    stack = params.branches
+    stack = protocol_branches(params)
     batch = evaluate_inputs(stack, [_parsed_input(input_amps)])
     report = stack.report(0)
     records = []

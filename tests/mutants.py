@@ -40,7 +40,6 @@ class Mutant(NamedTuple):
 _DOCUMENTED = ("tests/test_stack.py::test_each_choice_has_the_documented_l_and_p",)
 _ENTRY = "tests/test_entry_errors.py::test_wrong_kind_of_data_raises_the_named_error_without_a_warning"
 _CACHE = "tests/test_record_cache.py"
-_READ_ONLY = f"{_CACHE}::test_every_shared_array_is_read_only"
 
 MUTANTS = (
     Mutant("PhiPlus phase", "teleport.py",
@@ -77,29 +76,14 @@ MUTANTS = (
            "if not deviation < TOL_NORM:", "if deviation < TOL_NORM:",
            "complete branch stacks raise CompletenessError and incomplete ones pass",
            ("tests/test_stack.py::TestBranchStack::test_completeness_is_checked_per_tuple",)),
-    Mutant("branches rebuilt on each read", "teleport.py",
-           "@cached_property\n    def branches(self)", "@property\n    def branches(self)",
-           "classify, run and transfer_matrices each build the record's branch stack again",
-           (f"{_CACHE}::test_classify_and_runs_share_one_branch_stack",)),
     Mutant("swap outcomes rebuilt on each read", "swap.py",
-           "@cached_property\n    def outcomes(self)", "@property\n    def outcomes(self)",
+           "@cached_property\n    def _outcomes(self)", "@property\n    def _outcomes(self)",
            "swap_run and classify_swap each run swap_stack on the record again",
            (f"{_CACHE}::test_swap_run_and_classify_swap_share_one_swap_stack",
             f"{_CACHE}::test_cli_swap_builds_one_swap_stack")),
-    Mutant("stack arrays writable", "teleport.py", "array.setflags(write=False)", "pass",
-           "an entry, Gram diagonal or probability written through one reader changes every later read",
-           (_READ_ONLY,)),
-    Mutant("faithful flags writable", "teleport.py",
-           "(faithful := _faithful(self.diagonals, self.probabilities)).setflags(write=False)",
-           "faithful = _faithful(self.diagonals, self.probabilities)",
-           "a faithful flag written through one reader changes every later report of the record", (_READ_ONLY,)),
-    Mutant("matrices writable", "teleport.py", "mats.setflags(write=False)", "pass",
-           "a transfer matrix written through one reader changes the record's later corrections", (_READ_ONLY,)),
-    Mutant("corrections writable", "teleport.py",
-           "(corrections := _corrections(self.matrices)).setflags(write=False)",
-           "corrections = _corrections(self.matrices)",
-           "a correction written through one run's record changes every later run's on the record",
-           (_READ_ONLY, "tests/test_stack.py::test_run_records_share_read_only_corrections_and_states")),
+    Mutant("swap amplitudes writable", "swap.py", "states.setflags(write=False)", "pass",
+           "an amplitude written through one caller's outcome changes what every later read of the record returns",
+           (f"{_CACHE}::test_shared_amplitudes_are_read_only",)),
 )
 
 

@@ -325,7 +325,7 @@ def test_quadratic_forms_hold_at_any_scale(zero):
         stack = teleport.protocol_branches(params)
         inputs = teleport.haar_inputs(4, rng)
         batch = teleport.evaluate_inputs(stack, inputs)
-        h = stack.corrections[0] @ stack.matrices[0]
+        h = batch.corrections @ stack.matrices[0]
         assert np.all(h[:, 0, 1] == 0.0) and np.all(h[:, 1, 0] == 0.0)
         diagonal = np.stack([h[:, 0, 0], h[:, 1, 1]], axis=-1)
         assert np.all(batch.polar >= 0.0)
@@ -339,7 +339,7 @@ def test_quadratic_forms_hold_at_any_scale(zero):
                 if record.bob_state is None:
                     assert np.isnan(batch.fidelities[i, k])
                     continue
-                bob = stack.corrections[0, k] @ (stack.matrices[0, k] @ psi)
+                bob = batch.corrections[k] @ (stack.matrices[0, k] @ psi)
                 brute = PureState(("2",), bob / np.linalg.norm(bob))
                 assert abs(batch.fidelities[i, k] - qcore.fidelity(record.bob_state, target)) < 1e-12
                 assert abs(batch.fidelities[i, k] - qcore.fidelity(brute, target)) < 1e-12

@@ -130,9 +130,9 @@ class TestInputBatch:
 
     def test_transfer_matrices_are_built_only_for_the_corrections(self):
         stack = teleport.protocol_branches(ProtocolParams(0.5, 0.5, 2))
-        teleport.evaluate_inputs(stack, [(0.6, 0.8)])
+        batch = teleport.evaluate_inputs(stack, [(0.6, 0.8)])
         assert "matrices" not in vars(stack)
-        assert np.array_equal(stack.corrections[0], teleport._corrections(stack.matrices[0]))
+        assert np.array_equal(batch.corrections, teleport._corrections(stack.matrices[0]))
 
     def test_haar_inputs_are_normalized(self):
         inputs = teleport.haar_inputs(100, np.random.default_rng(4))

@@ -1,36 +1,34 @@
-"""Each parameter record builds its analysis once, on first read: ProtocolParams.branches (the
-one-tuple branch_stack) and SwapParams.outcomes (swap_stack's batch of one). The tests count the
-stack calls, compare every read with a direct stack call bit for bit, check that every shared array
-is read-only, and check that an analysis that raises is not kept."""
+"""A SwapParams record builds swap_stack's batch of one once, on first read, for swap_run to
+return and classify_swap to count. The tests count the swap_stack calls, compare every read with
+a direct swap_stack call bit for bit, check that the shared amplitudes are read-only, and check
+that an analysis that raises is not kept."""
 
 import cmath
 import math
 import sys
 import threading
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teleportrix import cli, swap, teleport
-from teleportrix.errors import CompletenessError, NonFinite
+from teleportrix import cli, swap
+from teleportrix.errors import NonFinite
 from teleportrix.swap import SwapParams, classify_swap, phase_matched_choice, swap_run, two_outcome_choice
-from teleportrix.teleport import ProtocolParams
 
 SWAP_ARGV = ["swap", "--m", "0.5", "--n", "1.6", "--l", "0.625", "--p", "2", "--l-prime", "0.625", "--p-prime", "0.5"]
 
 
-def _counted(monkeypatch, module, name):
-    calls, original = [], getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or original(*args))
+def _counted(monkeypatch):
+    calls, original = [], swap.swap_stack
+    monkeypatch.setattr(swap, "swap_stack", lambda *args: calls.append(1) or original(*args))
     return calls
 
 
 # --- one analysis per record -------------------------------------------------
 
 def test_swap_run_and_classify_swap_share_one_swap_stack(monkeypatch):
-    calls = _counted(monkeypatch, swap, "swap_stack")
+    calls = _counted(monkeypatch)
     q = two_outcome_choice(0.5, 1.6)
     first = swap_run(q)
     report = classify_swap(q)
@@ -38,62 +36,28 @@ def test_swap_run_and_classify_swap_share_one_swap_stack(monkeypatch):
     assert report.reliable_outcomes == tuple(o.label for o in first if o.reliable)
 
 
+def test_classify_swap_first_builds_what_swap_run_returns(monkeypatch):
+    calls = _counted(monkeypatch)
+    q = two_outcome_choice(0.5, 1.6)
+    assert classify_swap(q) == classify_swap(q) and len(calls) == 1
+    assert swap_run(q) is swap_run(q) and len(calls) == 1
+
+
 def test_cli_swap_builds_one_swap_stack(monkeypatch, capsys):
-    calls = _counted(monkeypatch, swap, "swap_stack")
+    calls = _counted(monkeypatch)
     assert cli.main(SWAP_ARGV) == 0
     assert '"command": "swap"' in capsys.readouterr().out and len(calls) == 1
 
 
-def test_classify_and_runs_share_one_branch_stack(monkeypatch):
-    stacks = _counted(monkeypatch, teleport, "branch_stack")
-    corrections = _counted(monkeypatch, teleport, "_corrections")
-    q = ProtocolParams(0.5, 0.7j, 2)
-    report = teleport.classify(q)
-    for psi in teleport.haar_inputs(50, np.random.default_rng(3)):
-        result = teleport.run(tuple(psi), q)
-        assert result.report == report
-        assert all(record.correction.shape == (2, 2) for record in result.records)
-    teleport.transfer_matrices(q)
-    assert teleport.protocol_branches(q) is q.branches
-    assert len(stacks) == 1 and len(corrections) == 1
-
-
 def test_equal_records_each_build_their_own_analysis(monkeypatch):
-    stacks = _counted(monkeypatch, teleport, "branch_stack")
-    swaps = _counted(monkeypatch, swap, "swap_stack")
-    p1, p2 = ProtocolParams(0.5, 0.5, 2), ProtocolParams(0.5, 0.5, 2)
+    calls = _counted(monkeypatch)
     s1, s2 = SwapParams(1, 1, 1, 1, 1, 1), SwapParams(1, 1, 1, 1, 1, 1)
-    assert p1 == p2 and s1 == s2
-    assert teleport.classify(p1) == teleport.classify(p2) and p1.branches is not p2.branches
+    assert s1 == s2 and hash(s1) == hash(s2)
     assert classify_swap(s1) == classify_swap(s2) and swap_run(s1) is not swap_run(s2)
-    assert len(stacks) == 2 and len(swaps) == 2
+    assert len(calls) == 2
 
 
-# --- the same bits as a direct stack call -----------------------------------
-
-def _bits(array):
-    return array.dtype.str, array.shape, array.tobytes()
-
-
-def _branch_bits(stack):
-    return [_bits(a) for a in (stack.entries, stack.diagonals, stack.probabilities, stack.faithful,
-                               stack.matrices, stack.corrections)]
-
-
-def assert_branches_are_a_direct_stack(q):
-    first = _branch_bits(q.branches)
-    report = teleport.classify(q)
-    records = teleport.run((0.6, 0.8j), q).records
-    direct = teleport.branch_stack([q.n], [q.ell], [q.p])
-    want = [_bits(a) for a in (direct.entries, direct.diagonals, direct.probabilities, direct.faithful,
-                               direct.matrices, teleport._corrections(direct.matrices))]
-    assert first == _branch_bits(teleport.protocol_branches(q)) == want
-    assert repr(report) == repr(teleport.classify(q)) == repr(direct.report(0))
-    for k, (record, tm) in enumerate(zip(records, teleport.transfer_matrices(q))):
-        assert record.faithful == bool(direct.faithful[0, k])
-        assert _bits(record.correction) == _bits(teleport._corrections(direct.matrices[0, k]))
-        assert _bits(tm.matrix) == _bits(direct.matrices[0, k])
-
+# --- the same bits as a direct swap_stack call ---------------------------------
 
 def _swap_bits(outcomes):
     return [(o.label, o.probability.hex(), None if o.b2_amps is None else o.b2_amps.tobytes(), o.reliable,
@@ -104,7 +68,7 @@ def assert_outcomes_are_a_direct_stack(q):
     first = _swap_bits(swap_run(q))
     report = classify_swap(q)
     direct = swap.swap_stack([q.m], [q.n], [q.ell], [q.p], [q.ell_prime], [q.p_prime]).outcomes(0)
-    assert first == _swap_bits(swap_run(q)) == _swap_bits(q.outcomes) == _swap_bits(direct)
+    assert first == _swap_bits(swap_run(q)) == _swap_bits(direct)
     reliable = [o for o in direct if o.reliable]
     assert report.reliable_outcomes == tuple(o.label for o in reliable)
     assert report.success_probability.hex() == float(sum(o.probability for o in reliable)).hex()
@@ -117,27 +81,10 @@ def _log_uniform(bound):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(*[_log_uniform(100.0)] * 3), min_size=1, max_size=5))
-def test_branches_have_the_bits_of_a_direct_stack(draws):
-    for values in draws:
-        assert_branches_are_a_direct_stack(ProtocolParams(*values))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(*[_log_uniform(150.0)] * 6), min_size=1, max_size=5))
 def test_swap_outcomes_have_the_bits_of_a_direct_stack(draws):
     for values in draws:
         assert_outcomes_are_a_direct_stack(SwapParams(*values))
-
-
-@pytest.mark.parametrize("q", [
-    ProtocolParams(0, 0, 2), ProtocolParams(1, 1, 1), ProtocolParams(1e100, 1e100, 1),
-    ProtocolParams(1e153, 1e-153, 1e-153j), teleport.two_faithful_choice(1e-7, 0),
-    teleport.two_faithful_choice(1e7, 0), teleport.two_faithful_choice(1e-155, 0),
-    teleport.two_faithful_choice(1e-160, 0), teleport.one_faithful_choice(1.7, 3),
-], ids=repr)
-def test_boundary_branches_have_the_bits_of_a_direct_stack(q):
-    assert_branches_are_a_direct_stack(q)
 
 
 @pytest.mark.parametrize("q", [
@@ -151,24 +98,15 @@ def test_boundary_swap_outcomes_have_the_bits_of_a_direct_stack(q):
 
 # --- read-only ----------------------------------------------------------------
 
-def _shared_arrays():
-    q = ProtocolParams(0.5, 0.5, 0.5)
-    stack = q.branches
-    yield from (stack.entries, stack.diagonals, stack.probabilities, stack.faithful, stack.matrices,
-                stack.corrections)
-    yield teleport.run((0.6, 0.8), q).records[0].correction
-    sweep = teleport.two_faithful_stack(np.array([0.5, 2.0]), 0)
-    yield from (sweep.entries, sweep.diagonals, sweep.probabilities, sweep.faithful)
-    yield from (o.b2_amps for o in swap_run(two_outcome_choice(0.5, 1.6)) if o.b2_amps is not None)
-
-
-def test_every_shared_array_is_read_only():
-    arrays = list(_shared_arrays())
-    assert len(arrays) == 15
+def test_shared_amplitudes_are_read_only():
+    # every later swap_run and classify_swap of the record reads the same outcomes: an amplitude
+    # written through one caller's outcome would change what all of them return
+    q = two_outcome_choice(0.5, 1.6)
+    arrays = [o.b2_amps for o in swap_run(q) if o.b2_amps is not None]
+    assert len(arrays) == 4
     for array in arrays:
-        corner = (0,) * array.ndim
         with pytest.raises(ValueError, match="read-only"):
-            array[corner] = array[corner]
+            array[0] = array[0]
         assert not array.flags.writeable
 
 
@@ -180,25 +118,14 @@ def _raised(read):
     return type(info.value), str(info.value)
 
 
-@pytest.mark.parametrize("q, read, error", [
-    (ProtocolParams(1, 1, 1e200), lambda q: q.branches, NonFinite),
-    (ProtocolParams(1e200, 1, 1), teleport.classify, NonFinite),
-    (SwapParams(0.5, 1e200, 1, 1, 1, 1), swap_run, NonFinite),
-    (SwapParams(0.5, 2, 1e200, 1, 1, 1), classify_swap, NonFinite),
-], ids=["branches", "classify", "swap_run", "classify_swap"])
-def test_an_analysis_that_raises_raises_again(q, read, error):
+@pytest.mark.parametrize("q, read", [
+    (SwapParams(0.5, 1e200, 1, 1, 1, 1), swap_run),
+    (SwapParams(0.5, 2, 1e200, 1, 1, 1), classify_swap),
+], ids=["swap_run", "classify_swap"])
+def test_an_analysis_that_raises_raises_again(q, read):
     first = _raised(lambda: read(q))
-    assert first[0] is error and _raised(lambda: read(q)) == first
-    assert "branches" not in vars(q) and "outcomes" not in vars(q)
-
-
-def test_a_completeness_error_is_not_kept(monkeypatch):
-    q = ProtocolParams(0.5, 0.5, 2)
-    monkeypatch.setattr(teleport, "TOL_NORM", -1.0)
-    first = _raised(lambda: teleport.run((1, 0), q))
-    assert first[0] is CompletenessError and _raised(lambda: q.branches) == first
-    monkeypatch.undo()
-    assert teleport.classify(q).regime == "Probabilistic(k=2)"
+    assert first[0] is NonFinite and _raised(lambda: read(q)) == first
+    assert _raised(lambda: swap_run(q)) == first and "_outcomes" not in vars(q)
 
 
 # --- first reads from several threads ------------------------------------------
@@ -206,14 +133,13 @@ def test_a_completeness_error_is_not_kept(monkeypatch):
 def test_first_reads_from_threads_give_the_bits_of_one_analysis():
     # functools.cached_property takes no lock from Python 3.12 on: threads that read a record first
     # at the same time may each build its analysis, and every build must give the same bits
-    q, s = ProtocolParams(0.5, 0.7j, 2), two_outcome_choice(0.5, 1.6)
+    s = two_outcome_choice(0.5, 1.6)
 
-    def read(q, s):
-        return (repr(teleport.classify(q)), _bits(teleport.run((0.6, 0.8j), q).records[0].correction),
-                _swap_bits(swap_run(s)), repr(classify_swap(s)))
+    def read(s):
+        return _swap_bits(swap_run(s)), repr(classify_swap(s))
 
-    want, results = read(ProtocolParams(0.5, 0.7j, 2), two_outcome_choice(0.5, 1.6)), []
-    threads = [threading.Thread(target=lambda: results.append(read(q, s))) for _ in range(16)]
+    want, results = read(two_outcome_choice(0.5, 1.6)), []
+    threads = [threading.Thread(target=lambda: results.append(read(s))) for _ in range(16)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

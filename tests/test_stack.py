@@ -395,13 +395,13 @@ def test_run_builds_corrections_and_states_on_first_read(monkeypatch, shots):
 
 
 def test_run_records_share_read_only_corrections_and_states():
-    # a record's correction is a view of its stack's corrections: assigning through it once
-    # changed the shared array, and so what every later read of the stack returned
+    # a record's correction is a view of its batch's corrections: assigning through it once
+    # changed the shared array, and so what every later read of the batch returned
     record = teleport.run((0.6, 0.8), ProtocolParams(0.5, 0.5, 0.5)).records[0]
-    before = record.batch.stack.corrections.copy()
+    before = record.batch.corrections.copy()
     with pytest.raises(ValueError, match="read-only"):
         record.correction[0, 0] = 99
     with pytest.raises(ValueError, match="read-only"):
         record.batch.bob[0, 0, 0] = 99
-    assert np.array_equal(record.batch.stack.corrections, before)
+    assert np.array_equal(record.batch.corrections, before)
     assert not record.correction.flags.writeable and not record.batch.bob.flags.writeable
